@@ -1,8 +1,9 @@
 /**
  * @file
- * End-to-end batched mapping throughput: the BatchMapper driver over
- * the full SeGraM pipeline at 1/2/4/8 worker threads, against the
- * plain single-thread mapRead loop as the reference.
+ * End-to-end batched mapping throughput: the ShardedBatchMapper driver
+ * over the full SeGraM pipeline (one SegramMapper as a single shard)
+ * at 1/2/4/8 worker threads, against the plain single-thread mapRead
+ * loop as the reference.
  *
  * This is the software analogue of the paper's channel scaling claim
  * (one MinSeed+BitAlign pair per HBM2E channel, linear scaling across
@@ -41,6 +42,7 @@
 #include "bench/bench_util.h"
 #include "src/core/engine.h"
 #include "src/core/segram.h"
+#include "src/core/sharded_mapper.h"
 #include "src/sim/read_sim.h"
 #include "src/util/bitops_simd.h"
 
@@ -147,7 +149,7 @@ main(int argc, char **argv)
         }
     }
 
-    bench::printHeader("Batched mapping throughput (BatchMapper)");
+    bench::printHeader("Batched mapping throughput (ShardedBatchMapper)");
 
     const uint64_t genome_len = quick ? 150'000 : 400'000;
     const uint32_t num_reads = quick ? 60 : 200;
@@ -237,9 +239,8 @@ main(int argc, char **argv)
         thread_counts = {1, 2};
     std::vector<double> batch_rps;
     for (const int threads : thread_counts) {
-        core::BatchConfig batch_config;
-        batch_config.threads = threads;
-        const core::BatchMapper batch_mapper(mapper, batch_config);
+        const core::ShardedBatchMapper batch_mapper(
+            mapper, {.threads = threads});
         std::vector<core::MultiMapResult> results;
         const double sec = bench::timeSec([&] {
             results = batch_mapper.mapBatch(
@@ -289,14 +290,15 @@ main(int argc, char **argv)
                                   : 0.0);
 
     // Batched-path stage breakdown and lane occupancy: the same reads
-    // through the single-thread lane-batched scheduler (BatchMapper ->
-    // mapMany -> SegramMapper::mapReads). The alignment-stage ratio
-    // against the per-read loop above is the kernel-level speedup the
-    // cross-window batching claims, measured in-run on the same data.
+    // through the single-thread lane-batched scheduler
+    // (ShardedBatchMapper -> mapMany -> SegramMapper::mapReads). The
+    // alignment-stage ratio against the per-read loop above is the
+    // kernel-level speedup the cross-window batching claims, measured
+    // in-run on the same data.
     core::PipelineStats batched_stats;
     std::vector<core::MultiMapResult> batched_results;
     {
-        const core::BatchMapper batch_mapper(mapper, core::BatchConfig{});
+        const core::ShardedBatchMapper batch_mapper(mapper);
         batched_results = batch_mapper.mapBatch(
             std::span<const std::string_view>(reads), &batched_stats);
     }

@@ -81,8 +81,8 @@ foldBaselineResult(const BaselineMapResult &result,
 }
 
 core::MultiMapResult
-GraphAlignerLike::mapOne(std::string_view read,
-                         core::PipelineStats *stats) const
+GraphAlignerLike::mapOne(std::string_view read, core::PipelineStats *stats,
+                         core::MapWorkspace & /*workspace*/) const
 {
     BaselineStats delta;
     const BaselineMapResult result = map(read, &delta);
@@ -90,7 +90,8 @@ GraphAlignerLike::mapOne(std::string_view read,
 }
 
 core::MultiMapResult
-VgLike::mapOne(std::string_view read, core::PipelineStats *stats) const
+VgLike::mapOne(std::string_view read, core::PipelineStats *stats,
+               core::MapWorkspace & /*workspace*/) const
 {
     BaselineStats delta;
     const BaselineMapResult result = map(read, &delta);

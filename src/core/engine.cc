@@ -28,14 +28,6 @@ MultiChromosomeEngine::MultiChromosomeEngine(std::vector<Entry> entries,
 }
 
 MultiMapResult
-MultiChromosomeEngine::mapOne(std::string_view read,
-                              PipelineStats *stats) const
-{
-    MapWorkspace workspace;
-    return mapOne(read, stats, workspace);
-}
-
-MultiMapResult
 MultiChromosomeEngine::mapOne(std::string_view read, PipelineStats *stats,
                               MapWorkspace &workspace) const
 {
@@ -67,13 +59,6 @@ RcRetryEngine::RcRetryEngine(std::unique_ptr<MappingEngine> inner)
 }
 
 MultiMapResult
-RcRetryEngine::mapOne(std::string_view read, PipelineStats *stats) const
-{
-    MapWorkspace workspace;
-    return mapOne(read, stats, workspace);
-}
-
-MultiMapResult
 RcRetryEngine::mapOne(std::string_view read, PipelineStats *stats,
                       MapWorkspace &workspace) const
 {
@@ -100,65 +85,6 @@ RcRetryEngine::mapOne(std::string_view read, PipelineStats *stats,
         *stats += local;
     }
     return best;
-}
-
-BatchMapper::BatchMapper(const MappingEngine &engine,
-                         const BatchConfig &config)
-    : engine_(engine), config_(config),
-      pool_(config.threads > 0 ? config.threads
-                               : util::ThreadPool::defaultThreads()),
-      workspaces_(static_cast<size_t>(pool_.size()))
-{
-    SEGRAM_CHECK(config.chunkSize >= 1, "chunkSize must be >= 1");
-}
-
-std::vector<MultiMapResult>
-BatchMapper::mapBatch(std::span<const std::string_view> reads,
-                      PipelineStats *stats) const
-{
-    std::vector<MultiMapResult> results(reads.size());
-    if (reads.empty())
-        return results;
-
-    // One private accumulator per worker; merged once at the end.
-    // The merge is a commutative sum, so the totals are independent
-    // of which worker mapped which chunk.
-    std::vector<PipelineStats> worker_stats(
-        static_cast<size_t>(pool_.size()));
-    pool_.parallelFor(
-        reads.size(), config_.chunkSize,
-        [&](size_t begin, size_t end, int worker) {
-            PipelineStats *local =
-                stats != nullptr
-                    ? &worker_stats[static_cast<size_t>(worker)]
-                    : nullptr;
-            // Each worker computes out of its private workspace — the
-            // per-channel scratchpad; buffers stay warm across chunks.
-            // One mapMany per chunk lets the engine batch window
-            // computations across the chunk's reads; chunk boundaries
-            // depend only on chunkSize, so batch groupings (and with
-            // them results and counters) are thread-count-invariant.
-            MapWorkspace &workspace =
-                workspaces_[static_cast<size_t>(worker)];
-            engine_.mapMany(
-                reads.subspan(begin, end - begin),
-                std::span<MultiMapResult>(results).subspan(
-                    begin, end - begin),
-                local, workspace);
-        });
-    if (stats != nullptr) {
-        for (const auto &partial : worker_stats)
-            *stats += partial;
-    }
-    return results;
-}
-
-std::vector<MultiMapResult>
-BatchMapper::mapBatch(std::span<const std::string> reads,
-                      PipelineStats *stats) const
-{
-    std::vector<std::string_view> views(reads.begin(), reads.end());
-    return mapBatch(std::span<const std::string_view>(views), stats);
 }
 
 } // namespace segram::core

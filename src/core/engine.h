@@ -1,17 +1,18 @@
 /**
  * @file
- * The mapping-engine abstraction and its batch driver.
+ * The mapping-engine abstraction.
  *
  * SeGraM's throughput story is read-level parallelism: the paper
  * provisions one MinSeed+BitAlign module pair per HBM2E channel, all
  * pairs sharing only the read-only graph and index, and scales
  * linearly across channels. `MappingEngine` is the software contract
  * that makes the same story expressible here: any end-to-end mapper
- * (SegramMapper, MultiGraphMapper, the sequence-to-sequence baselines)
- * exposes a uniform per-read `mapOne` and batched `mapBatch`, and
- * `BatchMapper` shards a batch of independent reads across a thread
- * pool — each worker standing in for one channel's module pair —
- * with results that are bit-identical regardless of thread count.
+ * (SegramMapper, the sequence-to-sequence baselines and the wrappers
+ * below) exposes a uniform per-read `mapOne` and grouped `mapMany`,
+ * and `ShardedBatchMapper` (src/core/sharded_mapper.h) drives any
+ * engine across a thread pool — each worker standing in for one
+ * channel's module pair — with results that are bit-identical
+ * regardless of thread count.
  *
  * This header owns the pipeline result/statistics types (`MapResult`,
  * `MultiMapResult`, `PipelineStats`); src/core/segram.h layers the
@@ -32,7 +33,6 @@
 #include "src/core/workspace.h"
 #include "src/seed/minseed.h"
 #include "src/util/cigar.h"
-#include "src/util/thread_pool.h"
 
 namespace segram::core
 {
@@ -55,29 +55,30 @@ class MappingEngine
     virtual ~MappingEngine() = default;
 
     /**
-     * Maps one read end to end.
+     * Maps one read end to end out of @p workspace. Engines whose hot
+     * path supports buffer reuse (SegramMapper and its wrappers)
+     * compute out of it and stay allocation-free in steady state;
+     * the others ignore it. @p workspace must not be shared between
+     * concurrent calls.
      *
      * @param read       Query read (ACGT, non-empty).
      * @param[out] stats Optional counter accumulator; when null, no
      *                   counters are kept.
      */
     virtual MultiMapResult mapOne(std::string_view read,
-                                  PipelineStats *stats = nullptr) const = 0;
+                                  PipelineStats *stats,
+                                  MapWorkspace &workspace) const = 0;
 
     /**
-     * Workspace-borrowing variant of mapOne: engines whose hot path
-     * supports buffer reuse (SegramMapper and its wrappers) override
-     * this to compute out of @p workspace and stay allocation-free in
-     * steady state. The default forwards to the plain mapOne, so every
-     * engine accepts a workspace even if it cannot exploit it.
-     * @p workspace must not be shared between concurrent calls.
+     * Convenience form: maps out of a fresh workspace. Overrides of
+     * the workspace form hide this overload, so call it through a
+     * MappingEngine reference.
      */
-    virtual MultiMapResult
-    mapOne(std::string_view read, PipelineStats *stats,
-           MapWorkspace &workspace) const
+    MultiMapResult
+    mapOne(std::string_view read, PipelineStats *stats = nullptr) const
     {
-        (void)workspace;
-        return mapOne(read, stats);
+        MapWorkspace workspace;
+        return mapOne(read, stats, workspace);
     }
 
     /**
@@ -101,8 +102,8 @@ class MappingEngine
 
     /**
      * Maps a batch of reads sequentially, in order. Results are
-     * positional: result[i] belongs to reads[i]. BatchMapper is the
-     * multi-threaded driver over this same contract. Implemented as
+     * positional: result[i] belongs to reads[i]. ShardedBatchMapper is
+     * the multi-threaded driver over this same contract. Implemented as
      * one mapMany over the whole batch, so engines with a cross-read
      * batched path use it here too.
      */
@@ -120,10 +121,10 @@ class MappingEngine
  * of them, best alignment wins (lowest edit distance among mapped;
  * ties go to the earlier chromosome, so results are deterministic).
  *
- * MultiGraphMapper is the hand-fused SeGraM instance of this shape;
- * this generic wrapper is what lets the CPU baselines (GraphAligner-
- * and vg-like) ride the same CLI and accuracy harness on the same
- * multi-chromosome references.
+ * It lets the CPU baselines (GraphAligner- and vg-like) ride the same
+ * CLI and accuracy harness on the same multi-chromosome references,
+ * and over per-chromosome SegramMappers it is the per-read oracle the
+ * tests hold ShardedBatchMapper's (read-chunk x shard) grid against.
  */
 class MultiChromosomeEngine : public MappingEngine
 {
@@ -142,8 +143,6 @@ class MultiChromosomeEngine : public MappingEngine
      */
     MultiChromosomeEngine(std::vector<Entry> entries, std::string name);
 
-    MultiMapResult mapOne(std::string_view read,
-                          PipelineStats *stats = nullptr) const override;
     /** Lends @p workspace to every per-chromosome engine in turn. */
     MultiMapResult mapOne(std::string_view read, PipelineStats *stats,
                           MapWorkspace &workspace) const override;
@@ -173,8 +172,6 @@ class RcRetryEngine : public MappingEngine
     /** @throws InputError when @p inner is null. */
     explicit RcRetryEngine(std::unique_ptr<MappingEngine> inner);
 
-    MultiMapResult mapOne(std::string_view read,
-                          PipelineStats *stats = nullptr) const override;
     /** Uses the workspace's RC buffer and lends the rest to @p inner. */
     MultiMapResult mapOne(std::string_view read, PipelineStats *stats,
                           MapWorkspace &workspace) const override;
@@ -185,75 +182,6 @@ class RcRetryEngine : public MappingEngine
 
   private:
     std::unique_ptr<MappingEngine> inner_;
-};
-
-/** BatchMapper knobs. */
-struct BatchConfig
-{
-    /**
-     * Worker threads; <= 0 picks the host's hardware concurrency.
-     * One worker models one HBM channel's MinSeed+BitAlign pair.
-     */
-    int threads = 1;
-
-    /**
-     * Reads claimed by a worker at a time. Small enough to balance
-     * skewed per-read cost (a repeat-heavy read can be 100x the
-     * median), large enough to amortize the claim.
-     */
-    size_t chunkSize = 8;
-};
-
-/**
- * Multi-threaded batch driver over any MappingEngine.
- *
- * Results are written by read index and per-worker `PipelineStats`
- * are merged by commutative sums, so output and stats are identical
- * for every thread count — determinism is part of the contract, not
- * luck. One BatchMapper owns one thread pool; `mapBatch` calls must
- * be serialized by the caller (the pool runs one job at a time).
- */
-class BatchMapper
-{
-  public:
-    /**
-     * @param engine Backend mapper; must outlive the BatchMapper and
-     *               honour the MappingEngine thread-safety contract.
-     */
-    explicit BatchMapper(const MappingEngine &engine,
-                         const BatchConfig &config = {});
-
-    /**
-     * Maps reads[i] -> result[i] across the worker pool.
-     *
-     * @param[out] stats Optional accumulator; receives exactly the
-     *                   sum every worker accumulated (merged once,
-     *                   after the batch completes).
-     */
-    std::vector<MultiMapResult>
-    mapBatch(std::span<const std::string_view> reads,
-             PipelineStats *stats = nullptr) const;
-
-    /** Convenience overload for owned-string batches. */
-    std::vector<MultiMapResult>
-    mapBatch(std::span<const std::string> reads,
-             PipelineStats *stats = nullptr) const;
-
-    int threads() const { return pool_.size(); }
-    const MappingEngine &engine() const { return engine_; }
-
-  private:
-    const MappingEngine &engine_;
-    BatchConfig config_;
-    /** Internally synchronized; mapBatch is logically const. */
-    mutable util::ThreadPool pool_;
-    /**
-     * One workspace per pool worker — the software image of each HBM
-     * channel module's private scratchpad. workspaces_[w] is only ever
-     * touched by worker w, so no synchronization is needed; `mutable`
-     * because scratch reuse does not change observable mapper state.
-     */
-    mutable std::vector<MapWorkspace> workspaces_;
 };
 
 } // namespace segram::core

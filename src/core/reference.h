@@ -135,12 +135,6 @@ class PreprocessedReference
         return chromosomes_;
     }
 
-    /**
-     * @return ChromosomeRef views for MultiGraphMapper; pointees live
-     *         inside this reference, which must outlive the mapper.
-     */
-    std::vector<ChromosomeRef> chromosomeRefs() const;
-
     /** @return True when the tables are backed by a mapped pack. */
     bool fromPack() const { return pack_ != nullptr; }
 

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <string_view>
 
 #include "src/align/bitalign.h"
@@ -106,7 +107,8 @@ class SegramMapper : public MappingEngine
     /**
      * Binds chromosome @p chromosome of a pre-processed reference
      * (built fresh or mmap-loaded from a pack — the mapper cannot tell
-     * the difference). @p reference must outlive the mapper.
+     * the difference) and names its mapped MultiMapResults after it.
+     * @p reference must outlive the mapper.
      */
     SegramMapper(const PreprocessedReference &reference, size_t chromosome,
                  const SegramConfig &config = {});
@@ -155,9 +157,11 @@ class SegramMapper : public MappingEngine
                   std::span<MapResult> results, PipelineStats *stats,
                   MapWorkspace &workspace) const;
 
-    /** MappingEngine interface (chromosome is left empty). */
-    MultiMapResult mapOne(std::string_view read,
-                          PipelineStats *stats = nullptr) const override;
+    /**
+     * MappingEngine interface. Mapped results carry the chromosome
+     * name the mapper was bound to (empty for the graph+index
+     * constructor); unmapped results carry none.
+     */
     MultiMapResult mapOne(std::string_view read, PipelineStats *stats,
                           MapWorkspace &workspace) const override;
     /** Routes through the lane-batched mapReads scheduler. */
@@ -182,84 +186,14 @@ class SegramMapper : public MappingEngine
     const std::vector<seed::CandidateRegion> &
     filterRegions(MapWorkspace &workspace, size_t read_len) const;
 
+    /** Names @p result after the bound chromosome when it mapped. */
+    void nameResult(MultiMapResult &result) const;
+
     const graph::GenomeGraph &graph_;
     const index::MinimizerIndex &index_;
     SegramConfig config_;
     seed::MinSeed minseed_;
-};
-
-/** One chromosome entry of a multi-chromosome reference. */
-struct ChromosomeRef
-{
-    std::string name;
-    const graph::GenomeGraph *graph = nullptr;
-    const index::MinimizerIndex *index = nullptr;
-};
-
-/**
- * Maps reads against a set of per-chromosome graphs — the paper builds
- * "one graph for each chromosome" and distributes them across HBM
- * channels; this is the software equivalent, picking the chromosome
- * with the best alignment.
- */
-class MultiGraphMapper : public MappingEngine
-{
-  public:
-    /**
-     * @param chromosomes Per-chromosome graphs/indexes (pointees must
-     *                    outlive the mapper).
-     * @throws InputError when empty or any pointer is null.
-     */
-    MultiGraphMapper(std::vector<ChromosomeRef> chromosomes,
-                     const SegramConfig &config = {});
-
-    /**
-     * Binds every chromosome of a pre-processed reference (built fresh
-     * or mmap-loaded from a pack). @p reference must outlive the
-     * mapper.
-     */
-    explicit MultiGraphMapper(const PreprocessedReference &reference,
-                              const SegramConfig &config = {});
-
-    /** Maps one read against every chromosome; returns the best hit. */
-    MultiMapResult mapRead(std::string_view read,
-                           PipelineStats *stats = nullptr) const;
-
-    /** Workspace-borrowing variant (lent to each chromosome in turn). */
-    MultiMapResult mapRead(std::string_view read, PipelineStats *stats,
-                           MapWorkspace &workspace) const;
-
-    /** MappingEngine interface. */
-    MultiMapResult
-    mapOne(std::string_view read,
-           PipelineStats *stats = nullptr) const override
-    {
-        return mapRead(read, stats);
-    }
-    MultiMapResult
-    mapOne(std::string_view read, PipelineStats *stats,
-           MapWorkspace &workspace) const override
-    {
-        return mapRead(read, stats, workspace);
-    }
-    /**
-     * Group mapper: runs each chromosome's lane-batched mapReads over
-     * the whole group, merging per read with the same best-chromosome
-     * rule as mapRead. Bit-identical to a mapRead loop.
-     */
-    void mapMany(std::span<const std::string_view> reads,
-                 std::span<MultiMapResult> results, PipelineStats *stats,
-                 MapWorkspace &workspace) const override;
-    std::string_view engineName() const override
-    {
-        return "segram-multigraph";
-    }
-
-    size_t numChromosomes() const { return mappers_.size(); }
-
-  private:
-    std::vector<std::string> names_;
-    std::vector<SegramMapper> mappers_;
+    std::string chromosome_;
 };
 
 } // namespace segram::core

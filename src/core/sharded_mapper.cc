@@ -18,16 +18,34 @@ ShardedBatchMapper::ShardedBatchMapper(
     SEGRAM_CHECK(batch.chunkSize >= 1, "chunkSize must be >= 1");
     SEGRAM_CHECK(reference.numChromosomes() >= 1,
                  "reference has no chromosomes");
-    names_.reserve(reference.numChromosomes());
-    mappers_.reserve(reference.numChromosomes());
-    for (size_t c = 0; c < reference.numChromosomes(); ++c) {
-        names_.push_back(reference.name(c));
-        mappers_.emplace_back(reference, c, config);
-    }
+    owned_.reserve(reference.numChromosomes());
+    for (size_t c = 0; c < reference.numChromosomes(); ++c)
+        owned_.emplace_back(reference, c, config);
+    for (const SegramMapper &mapper : owned_)
+        shards_.push_back(&mapper);
     if (batch.memBudgetBytes > 0) {
         residency_ = std::make_unique<ShardResidency>(
             reference, batch.memBudgetBytes);
     }
+}
+
+ShardedBatchMapper::ShardedBatchMapper(const MappingEngine &engine,
+                                       const ShardedBatchConfig &batch)
+    : shards_{&engine}, config_(batch),
+      pool_(batch.threads > 0 ? batch.threads
+                              : util::ThreadPool::defaultThreads()),
+      workspaces_(static_cast<size_t>(pool_.size()))
+{
+    SEGRAM_CHECK(batch.chunkSize >= 1, "chunkSize must be >= 1");
+    SEGRAM_CHECK(batch.memBudgetBytes == 0,
+                 "a memory budget needs a reference to evict shards of");
+}
+
+std::string_view
+ShardedBatchMapper::engineName() const
+{
+    return owned_.empty() ? shards_.front()->engineName()
+                          : "segram-sharded";
 }
 
 std::vector<MultiMapResult>
@@ -38,14 +56,16 @@ ShardedBatchMapper::mapBatch(std::span<const std::string_view> reads,
     if (reads.empty())
         return results;
 
-    const size_t num_shards = mappers_.size();
+    const size_t num_shards = shards_.size();
     const size_t num_chunks =
         (reads.size() + config_.chunkSize - 1) / config_.chunkSize;
 
     // Per-(shard, read) partial results; filled by the grid, merged
-    // below. Memory is shards x batch MapResults — the reason the CLI
-    // streams bounded batches rather than whole files.
-    std::vector<std::vector<MapResult>> partial(num_shards);
+    // below. Memory is shards x batch results — the reason the CLI
+    // streams bounded batches rather than whole files. A single shard
+    // needs no merge and maps straight into the output.
+    std::vector<std::vector<MultiMapResult>> partial(
+        num_shards == 1 ? 0 : num_shards);
     for (auto &row : partial)
         row.resize(reads.size());
 
@@ -72,31 +92,31 @@ ShardedBatchMapper::mapBatch(std::span<const std::string_view> reads,
             const ShardResidency::Lease lease =
                 residency_ != nullptr ? residency_->acquire(shard)
                                       : ShardResidency::Lease();
-            // One lane-batched pass per (chunk, shard) item. The grid
-            // partition is fixed by chunkSize, so batch groupings (and
-            // the occupancy counters) are thread-count-invariant.
-            mappers_[shard].mapReads(
-                reads.subspan(begin, end - begin),
-                std::span<MapResult>(partial[shard])
-                    .subspan(begin, end - begin),
-                local, workspace);
+            // One mapMany per (chunk, shard) item: SegramMapper
+            // lane-batches across the chunk. The grid partition is
+            // fixed by chunkSize, so batch groupings (and the
+            // occupancy counters) are thread-count-invariant.
+            std::span<MultiMapResult> row =
+                partial.empty() ? results : partial[shard];
+            shards_[shard]->mapMany(reads.subspan(begin, end - begin),
+                                    row.subspan(begin, end - begin),
+                                    local, workspace);
         });
 
-    // MultiGraphMapper's merge rule, applied per read over ascending
+    // MultiChromosomeEngine's rule, applied per read over ascending
     // shard order: lowest edit distance wins, ties go to the earlier
-    // chromosome. Order-independent inputs + fixed merge order =
+    // shard; the winner's result (named by its shard) moves over
+    // whole. Order-independent inputs + fixed merge order =
     // deterministic output.
     uint64_t mapped = 0;
     for (size_t i = 0; i < reads.size(); ++i) {
         MultiMapResult &best = results[i];
-        for (size_t s = 0; s < num_shards; ++s) {
-            MapResult &result = partial[s][i];
+        for (auto &row : partial) {
+            MultiMapResult &result = row[i];
             if (result.mapped &&
                 (!best.mapped ||
-                 result.editDistance < best.editDistance)) {
-                static_cast<MapResult &>(best) = std::move(result);
-                best.chromosome = names_[s];
-            }
+                 result.editDistance < best.editDistance))
+                best = std::move(result);
         }
         if (best.mapped)
             ++mapped;
@@ -104,7 +124,7 @@ ShardedBatchMapper::mapBatch(std::span<const std::string_view> reads,
 
     if (stats != nullptr) {
         // Work counters are commutative sums over the grid — identical
-        // to what the read-major path accumulates. The read-level
+        // to what a per-read loop accumulates. The read-level
         // counters count logical reads, not (read x shard) passes.
         // Thread-safety: each worker_stats slot was written by exactly
         // one pool worker, and parallelSteal's completion handshake

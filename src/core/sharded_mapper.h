@@ -1,24 +1,29 @@
 /**
  * @file
- * ShardedBatchMapper: the (read-chunk x shard) batch driver for
- * multi-chromosome references.
+ * ShardedBatchMapper: the one batch driver — a (read-chunk x shard)
+ * grid over MappingEngine shards.
  *
- * BatchMapper parallelizes over reads only: each worker maps its reads
- * against *every* chromosome back to back (MultiGraphMapper), so with
- * a handful of workers and a skewed chromosome size distribution the
- * per-read latency is dominated by the largest chromosome and every
- * worker walks the whole reference working set. This driver schedules
- * the full (read-chunk x shard) grid instead, shard-major, through the
- * thread pool's work-stealing mode: workers start on different shards
- * (locality: one shard's tables stay hot in cache while its items
- * drain), skew is absorbed by stealing, and a memory budget can keep
- * only the shards in flight resident (ShardResidency).
+ * A reference is mapped shard by shard: one SegramMapper per
+ * chromosome, the software image of the paper's one graph per
+ * chromosome spread over HBM channels. The driver schedules the full
+ * (read-chunk x shard) grid, shard-major, through the thread pool's
+ * work-stealing mode: workers start on different shards (locality:
+ * one shard's tables stay hot in cache while its items drain), skew
+ * is absorbed by stealing, and a memory budget can keep only the
+ * shards in flight resident (ShardResidency). Any other engine (the
+ * CPU baselines, a single SegramMapper) maps as one shard, so the
+ * same grid degenerates to the chunked read-parallel driver.
  *
- * Output is bit-identical to BatchMapper over MultiGraphMapper for
- * every thread count: per-(read, shard) results are pure functions of
- * their inputs, and the merge — lowest edit distance wins, ties to the
- * earlier chromosome — is exactly MultiGraphMapper's rule, applied
- * over a deterministic shard order after the grid completes.
+ * Every item goes through the engine's virtual mapMany, so the
+ * lane-batched SegramMapper scheduler runs once per (chunk, shard).
+ * Shards name their own results (SegramMapper writes its chromosome
+ * into mapped results), and the merge — lowest edit distance wins,
+ * ties to the earlier shard — moves the winner over a deterministic
+ * shard order after the grid completes; a single shard's results pass
+ * through untouched. Results and counters are bit-identical for every
+ * thread count, and to a per-read MultiChromosomeEngine loop over
+ * per-chromosome SegramMappers (the oracle the tests hold the grid
+ * against).
  */
 
 #ifndef SEGRAM_SRC_CORE_SHARDED_MAPPER_H
@@ -42,10 +47,18 @@ namespace segram::core
 /** ShardedBatchMapper knobs. */
 struct ShardedBatchConfig
 {
-    /** Worker threads; <= 0 picks the host's hardware concurrency. */
+    /**
+     * Worker threads; <= 0 picks the host's hardware concurrency.
+     * One worker models one HBM channel's MinSeed+BitAlign pair.
+     */
     int threads = 1;
 
-    /** Reads per work item (one item = one chunk against one shard). */
+    /**
+     * Reads per work item (one item = one chunk against one shard).
+     * Small enough to balance skewed per-read cost (a repeat-heavy
+     * read can be 100x the median), large enough to amortize the
+     * claim and fill the lane-batched kernels.
+     */
     size_t chunkSize = 8;
 
     /**
@@ -58,22 +71,32 @@ struct ShardedBatchConfig
 };
 
 /**
- * Work-stealing (read-chunk x shard) batch driver over the SeGraM
- * pipeline. One instance owns one thread pool and per-worker
- * workspaces; mapBatch calls must be serialized by the caller, and
- * the reference must outlive the mapper.
+ * Work-stealing (read-chunk x shard) batch driver. One instance owns
+ * one thread pool and per-worker workspaces; mapBatch calls must be
+ * serialized by the caller, and the reference or engine must outlive
+ * the mapper.
  */
 class ShardedBatchMapper
 {
   public:
+    /** One SegramMapper shard per chromosome of @p reference. */
     ShardedBatchMapper(const PreprocessedReference &reference,
                        const SegramConfig &config = {},
                        const ShardedBatchConfig &batch = {});
 
     /**
+     * Drives @p engine as a single shard. @p engine must honour the
+     * MappingEngine thread-safety contract.
+     * @throws InputError when @p batch sets a memory budget (there is
+     *         no pack to evict from).
+     */
+    explicit ShardedBatchMapper(const MappingEngine &engine,
+                                const ShardedBatchConfig &batch = {});
+
+    /**
      * Maps reads[i] -> result[i] across the (chunk x shard) grid.
-     * Results and @p stats totals are bit-identical to
-     * BatchMapper(MultiGraphMapper) for every thread count.
+     * Results and @p stats totals are bit-identical for every thread
+     * count.
      */
     std::vector<MultiMapResult>
     mapBatch(std::span<const std::string_view> reads,
@@ -85,25 +108,29 @@ class ShardedBatchMapper
              PipelineStats *stats = nullptr) const;
 
     int threads() const { return pool_.size(); }
-    size_t numShards() const { return mappers_.size(); }
-    std::string_view engineName() const { return "segram-sharded"; }
+    size_t numShards() const { return shards_.size(); }
+    /** "segram-sharded" over a reference, else the engine's name. */
+    std::string_view engineName() const;
 
     /** All-zeros when no memory budget is active. */
     ShardResidency::Stats residencyStats() const;
 
   private:
-    std::vector<std::string> names_;
-    std::vector<SegramMapper> mappers_;
+    /** The reference constructor's per-chromosome mappers. */
+    std::vector<SegramMapper> owned_;
+    /** Grid shards, in merge (tie-break) order. */
+    std::vector<const MappingEngine *> shards_;
     ShardedBatchConfig config_;
     /** Internally synchronized (ThreadPool's job state carries the
      *  clang thread-safety annotations); mapBatch is logically const
      *  but calls must be serialized by the caller — the pool runs one
      *  job at a time and the workspaces below are reused across calls. */
     mutable util::ThreadPool pool_;
-    /** One private workspace per pool worker (see BatchMapper). Not
-     *  guarded by a mutex: workspaces_[w] is touched only by pool
-     *  worker w, and the pool's job handshake orders those accesses
-     *  against the caller between batches. */
+    /** One private workspace per pool worker — the software image of
+     *  each HBM channel module's scratchpad. Not guarded by a mutex:
+     *  workspaces_[w] is touched only by pool worker w, and the pool's
+     *  job handshake orders those accesses against the caller between
+     *  batches. */
     mutable std::vector<MapWorkspace> workspaces_;
     /** LRU residency control; null when memBudgetBytes == 0. */
     mutable std::unique_ptr<ShardResidency> residency_;

@@ -11,12 +11,12 @@
  * CIGAR/traceback scratch — so a warm worker maps read after read
  * without touching the heap.
  *
- * Ownership model: BatchMapper owns one workspace per pool thread and
- * lends it to the engine via MappingEngine::mapOne(read, stats, ws);
- * standalone callers can hold their own. A workspace must never be
- * shared between concurrent calls (it is the thread's scratchpad, not
- * shared state), and it pins no results — everything returned to the
- * caller is copied out of it.
+ * Ownership model: ShardedBatchMapper owns one workspace per pool
+ * thread and lends it to the engine via MappingEngine::mapMany /
+ * mapOne(read, stats, ws); standalone callers can hold their own. A
+ * workspace must never be shared between concurrent calls (it is the
+ * thread's scratchpad, not shared state), and it pins no results —
+ * everything returned to the caller is copied out of it.
  */
 
 #ifndef SEGRAM_SRC_CORE_WORKSPACE_H

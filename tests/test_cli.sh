@@ -2,8 +2,8 @@
 # CLI integration test: simulate a dataset, then
 #  1. map the same reads as FASTA (1 thread) and FASTQ (2 threads) and
 #     require byte-identical PAF output — wiring the FASTQ ingestion
-#     path and the BatchMapper determinism contract through the real
-#     binary;
+#     path and the ShardedBatchMapper determinism contract through the
+#     real binary;
 #  2. compare the PAF at 1/2/4/8 threads against the committed golden
 #     output (tests/golden/map_smoke.paf, captured before the
 #     zero-allocation workspace refactor) — any drift in mapping
@@ -383,6 +383,17 @@ for engine in segram graphaligner vg; do
     "$bin" map --engine "$engine" --threads 2 "$tmp/e.fa" "$tmp/e.vcf" \
         "$tmp/e.reads.fq" 0.05 > "$tmp/$engine.paf" 2> /dev/null
 done
+# The baselines ride the same work-stealing grid as segram (one shard):
+# their PAF must not depend on the thread count either.
+for threads in 1 4; do
+    "$bin" map --engine vg --threads "$threads" "$tmp/e.fa" "$tmp/e.vcf" \
+        "$tmp/e.reads.fq" 0.05 > "$tmp/vg_t$threads.paf" 2> /dev/null
+done
+test -s "$tmp/vg_t1.paf" || { echo "FAIL: vg mapped nothing"; exit 1; }
+cmp "$tmp/vg_t1.paf" "$tmp/vg_t4.paf" || {
+    echo "FAIL: eval-dataset vg PAF differs between 1 and 4 threads"
+    exit 1
+}
 # The construct -> map-from-gfa route must score exactly like the
 # direct FASTA+VCF route (it is the same graph, rebuilt from GFA).
 "$bin" construct "$tmp/e.fa" "$tmp/e.vcf" "$tmp/e.gfa" 2> /dev/null

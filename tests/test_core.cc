@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/reference.h"
 #include "src/core/segram.h"
+#include "src/core/sharded_mapper.h"
 #include "src/graph/graph_builder.h"
 #include "src/sim/dataset.h"
 #include "src/util/check.h"
@@ -220,49 +222,69 @@ TEST(SegramMapper, ChainFilterKeepsAccuracyWithFewerRegions)
     }
 }
 
-TEST(MultiGraphMapper, PicksTheRightChromosome)
+TEST(ShardedBatchMapper, PicksTheRightChromosome)
 {
     const auto chr1 = sim::makeDataset(smallConfig(76));
     const auto chr2 = sim::makeDataset(smallConfig(77));
+    std::vector<PreprocessedChromosome> chromosomes;
+    chromosomes.push_back({"chr1", chr1.graph, chr1.index});
+    chromosomes.push_back({"chr2", chr2.graph, chr2.index});
+    const PreprocessedReference reference(std::move(chromosomes));
     SegramConfig config;
     config.earlyExitFraction = 1.0;
-    const MultiGraphMapper mapper(
-        {{"chr1", &chr1.graph, &chr1.index},
-         {"chr2", &chr2.graph, &chr2.index}},
-        config);
-    EXPECT_EQ(mapper.numChromosomes(), 2u);
+    const ShardedBatchMapper mapper(reference, config);
+    EXPECT_EQ(mapper.numShards(), 2u);
 
     Rng rng(78);
     for (int trial = 0; trial < 4; ++trial) {
         const uint64_t s1 =
             rng.nextBelow(chr1.donor.seq().size() - 400);
-        const auto on1 =
-            mapper.mapRead(chr1.donor.seq().substr(s1, 300));
-        ASSERT_TRUE(on1.mapped);
-        EXPECT_EQ(on1.chromosome, "chr1");
-        EXPECT_EQ(on1.editDistance, 0);
-
         const uint64_t s2 =
             rng.nextBelow(chr2.donor.seq().size() - 400);
+        const std::vector<std::string> reads = {
+            chr1.donor.seq().substr(s1, 300),
+            chr2.donor.seq().substr(s2, 300)};
         PipelineStats stats;
-        const auto on2 =
-            mapper.mapRead(chr2.donor.seq().substr(s2, 300), &stats);
-        ASSERT_TRUE(on2.mapped);
-        EXPECT_EQ(on2.chromosome, "chr2");
-        EXPECT_EQ(stats.readsTotal, 1u);
-        EXPECT_EQ(stats.readsMapped, 1u);
+        const auto results =
+            mapper.mapBatch(std::span<const std::string>(reads), &stats);
+        ASSERT_TRUE(results[0].mapped);
+        EXPECT_EQ(results[0].chromosome, "chr1");
+        EXPECT_EQ(results[0].editDistance, 0);
+        ASSERT_TRUE(results[1].mapped);
+        EXPECT_EQ(results[1].chromosome, "chr2");
+        EXPECT_EQ(stats.readsTotal, 2u);
+        EXPECT_EQ(stats.readsMapped, 2u);
     }
 }
 
-TEST(MultiGraphMapper, RejectsBadConstruction)
+TEST(SegramMapper, NamesMappedResultsAfterItsChromosome)
 {
-    EXPECT_THROW(MultiGraphMapper(std::vector<ChromosomeRef>{}),
-                 InputError);
     const auto dataset = sim::makeDataset(smallConfig(79));
-    EXPECT_THROW(MultiGraphMapper({{"x", nullptr, &dataset.index}}),
-                 InputError);
-    EXPECT_THROW(MultiGraphMapper({{"x", &dataset.graph, nullptr}}),
-                 InputError);
+    std::vector<PreprocessedChromosome> chromosomes;
+    chromosomes.push_back({"chrX", dataset.graph, dataset.index});
+    const PreprocessedReference reference(std::move(chromosomes));
+    const std::string read = dataset.donor.seq().substr(1'000, 300);
+    const std::string junk(300, 'A');
+
+    const SegramMapper named(reference, 0);
+    const MappingEngine &named_engine = named;
+    EXPECT_EQ(named_engine.mapOne(read).chromosome, "chrX");
+    const auto unmapped = named_engine.mapOne(junk);
+    EXPECT_FALSE(unmapped.mapped);
+    EXPECT_TRUE(unmapped.chromosome.empty());
+
+    // The graph+index constructor binds no name.
+    const SegramMapper anonymous(dataset.graph, dataset.index);
+    const MappingEngine &anonymous_engine = anonymous;
+    const auto result = anonymous_engine.mapOne(read);
+    EXPECT_TRUE(result.mapped);
+    EXPECT_TRUE(result.chromosome.empty());
+}
+
+TEST(ShardedBatchMapper, RejectsEmptyReference)
+{
+    const PreprocessedReference empty;
+    EXPECT_THROW(ShardedBatchMapper{empty}, InputError);
 }
 
 TEST(SegramMapper, RequiresSortedGraph)

@@ -21,12 +21,14 @@
 #include "src/core/engine.h"
 #include "src/core/reference.h"
 #include "src/core/segram.h"
+#include "src/core/sharded_mapper.h"
 #include "src/eval/accuracy.h"
 #include "src/io/pack.h"
 #include "src/io/paf.h"
 #include "src/sim/dataset.h"
 #include "src/sim/read_sim.h"
 #include "src/util/check.h"
+#include "tests/mapper_test_util.h"
 
 namespace
 {
@@ -184,39 +186,21 @@ TEST_F(PackTest, MappingOutputBitIdenticalFreshVsLoaded)
 
     core::SegramConfig config;
     config.tryReverseComplement = true;
-    const core::MultiGraphMapper fresh_mapper(fresh, config);
-    const core::MultiGraphMapper loaded_mapper(loaded, config);
+    // Expected: the per-read oracle over the freshly built tables.
+    const auto oracle = test_util::perReadOracle(fresh, config);
+    core::PipelineStats fresh_stats;
+    const auto fresh_results = test_util::mapEachRead(
+        *oracle, std::span<const std::string_view>(views), &fresh_stats);
 
     for (const int threads : {1, 3}) {
-        core::BatchConfig batch;
-        batch.threads = threads;
-        core::PipelineStats fresh_stats, loaded_stats;
-        const auto fresh_results =
-            core::BatchMapper(fresh_mapper, batch)
-                .mapBatch(std::span<const std::string_view>(views),
-                          &fresh_stats);
-        const auto loaded_results =
-            core::BatchMapper(loaded_mapper, batch)
-                .mapBatch(std::span<const std::string_view>(views),
-                          &loaded_stats);
-        ASSERT_EQ(fresh_results.size(), loaded_results.size());
-        for (size_t i = 0; i < fresh_results.size(); ++i) {
-            EXPECT_EQ(fresh_results[i].mapped, loaded_results[i].mapped);
-            EXPECT_EQ(fresh_results[i].linearStart,
-                      loaded_results[i].linearStart);
-            EXPECT_EQ(fresh_results[i].editDistance,
-                      loaded_results[i].editDistance);
-            EXPECT_EQ(fresh_results[i].reverseComplemented,
-                      loaded_results[i].reverseComplemented);
-            EXPECT_EQ(fresh_results[i].chromosome,
-                      loaded_results[i].chromosome);
-            EXPECT_EQ(fresh_results[i].cigar.toString(),
-                      loaded_results[i].cigar.toString());
-        }
-        EXPECT_EQ(fresh_stats.seeding.seedsFetched,
-                  loaded_stats.seeding.seedsFetched);
-        EXPECT_EQ(fresh_stats.regionsAligned,
-                  loaded_stats.regionsAligned);
+        const core::ShardedBatchMapper loaded_mapper(
+            loaded, config, {.threads = threads});
+        core::PipelineStats loaded_stats;
+        const auto loaded_results = loaded_mapper.mapBatch(
+            std::span<const std::string_view>(views), &loaded_stats);
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        test_util::expectSameResults(fresh_results, loaded_results);
+        test_util::expectSameCounters(fresh_stats, loaded_stats);
     }
 }
 
@@ -254,25 +238,33 @@ TEST_F(PackTest, FreshAndPackLoadedReferenceScoreIdenticalAccuracy)
 
     core::SegramConfig config;
     config.tryReverseComplement = true;
-    const auto score = [&](const core::PreprocessedReference &ref,
+    const auto score = [&](const std::vector<core::MultiMapResult> &results,
                            const char *mapper_name) {
-        const core::MultiGraphMapper mapper(ref, config);
         std::vector<io::PafRecord> mapped;
         for (size_t i = 0; i < reads.size(); ++i) {
-            const auto result = mapper.mapRead(reads[i].seq);
+            const auto &result = results[i];
             if (!result.mapped)
                 continue;
             mapped.push_back(io::makePafRecord(
                 "read" + std::to_string(i), reads[i].seq.size(),
                 result.reverseComplemented ? '-' : '+',
-                result.chromosome, ref.graph(0).totalSeqLen(),
+                result.chromosome, fresh.graph(0).totalSeqLen(),
                 result.linearStart, result.cigar));
         }
         return evaluator.evaluate(mapper_name, mapped);
     };
 
-    const auto fresh_report = score(fresh, "fresh");
-    const auto loaded_report = score(loaded, "pack-loaded");
+    std::vector<std::string_view> views;
+    for (const auto &read : reads)
+        views.push_back(read.seq);
+    const auto fresh_report = score(
+        test_util::mapEachRead(*test_util::perReadOracle(fresh, config),
+                               std::span<const std::string_view>(views)),
+        "fresh");
+    const auto loaded_report = score(
+        core::ShardedBatchMapper(loaded, config)
+            .mapBatch(std::span<const std::string_view>(views)),
+        "pack-loaded");
     // Not just close — identical, counter for counter.
     EXPECT_EQ(fresh_report.overall, loaded_report.overall);
     ASSERT_EQ(fresh_report.perProfile.size(),

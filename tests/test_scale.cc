@@ -3,9 +3,9 @@
  * Tests for the human-scale reference features: the query-time
  * occurrence cap (edge cases and thread-count determinism of the
  * stratified subsample), the work-stealing sharded batch mapper
- * (bit-identical to the monolithic multi-graph path at every thread
- * count), the shard residency LRU under a memory budget, legacy v1
- * pack loading, the work-stealing scheduler itself, and the
+ * (bit-identical to a per-read oracle loop at every thread count),
+ * the shard residency LRU under a memory budget, legacy v1 pack
+ * loading, the work-stealing scheduler itself, and the
  * multi-chromosome / tandem-repeat simulator growth.
  */
 
@@ -31,6 +31,7 @@
 #include "src/sim/genome_sim.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/mapper_test_util.h"
 
 namespace
 {
@@ -71,23 +72,7 @@ viewsOf(const std::vector<std::string> &reads)
     return {reads.begin(), reads.end()};
 }
 
-void
-expectSameResults(const std::vector<core::MultiMapResult> &lhs,
-                  const std::vector<core::MultiMapResult> &rhs)
-{
-    ASSERT_EQ(lhs.size(), rhs.size());
-    for (size_t i = 0; i < lhs.size(); ++i) {
-        EXPECT_EQ(lhs[i].mapped, rhs[i].mapped) << "read " << i;
-        EXPECT_EQ(lhs[i].linearStart, rhs[i].linearStart) << "read " << i;
-        EXPECT_EQ(lhs[i].editDistance, rhs[i].editDistance)
-            << "read " << i;
-        EXPECT_EQ(lhs[i].reverseComplemented, rhs[i].reverseComplemented)
-            << "read " << i;
-        EXPECT_EQ(lhs[i].chromosome, rhs[i].chromosome) << "read " << i;
-        EXPECT_EQ(lhs[i].cigar.toString(), rhs[i].cigar.toString())
-            << "read " << i;
-    }
-}
+using test_util::expectSameResults;
 
 // ---------------------------------------------------------------------
 // Occurrence cap
@@ -201,17 +186,20 @@ struct ShardedFixture
     core::SegramConfig config;
 };
 
-TEST(ShardedBatchMapper, MatchesMonolithicAtEveryThreadCount)
+TEST(ShardedBatchMapper, MatchesPerReadOracleAtEveryThreadCount)
 {
     ShardedFixture fixture(0);
     const auto views = viewsOf(fixture.reads);
 
-    // The monolithic path: one MultiGraphMapper behind a BatchMapper.
-    const core::MultiGraphMapper mono(fixture.reference,
-                                      fixture.config);
-    const core::BatchMapper batch(mono, {.threads = 1});
-    const auto expected =
-        batch.mapBatch(std::span<const std::string_view>(views));
+    // The oracle: MultiChromosomeEngine over per-chromosome
+    // SegramMappers, one mapRead per (read, chromosome) — no grid, no
+    // lane scheduler.
+    const auto oracle =
+        test_util::perReadOracle(fixture.reference, fixture.config);
+    core::PipelineStats expected_stats;
+    const auto expected = test_util::mapEachRead(
+        *oracle, std::span<const std::string_view>(views),
+        &expected_stats);
 
     for (const int threads : {1, 2, 4, 8}) {
         core::ShardedBatchConfig batch_config;
@@ -222,9 +210,10 @@ TEST(ShardedBatchMapper, MatchesMonolithicAtEveryThreadCount)
         core::PipelineStats stats;
         const auto results = sharded.mapBatch(
             std::span<const std::string_view>(views), &stats);
+        SCOPED_TRACE(std::to_string(threads) + " threads");
         expectSameResults(results, expected);
-        EXPECT_EQ(stats.readsTotal, fixture.reads.size())
-            << threads << " threads";
+        test_util::expectSameCounters(stats, expected_stats);
+        EXPECT_EQ(stats.readsTotal, fixture.reads.size());
     }
 }
 
