@@ -242,10 +242,10 @@ BM_BitAlignWindowWithTraceback(benchmark::State &state)
 BENCHMARK(BM_BitAlignWindowWithTraceback)->Arg(128);
 
 /**
- * Shared fixture of the batched-vs-per-window comparison: @p windows
- * independent window requests (distinct genome regions and read
- * chunks) of @p window_len characters, k = window_len/4 — the mapping
- * path's regime (128 -> 2-word vectors, 64 -> 1-word).
+ * Fixture of the lane-batching sweep: @p windows independent window
+ * requests (distinct genome regions and read chunks) of @p window_len
+ * characters, k = window_len/4 — the mapping path's regime (128 ->
+ * 2-word vectors, 64 -> 1-word).
  */
 struct WindowBatchFixture
 {
@@ -272,24 +272,6 @@ struct WindowBatchFixture
                                 align::AlignMode::SemiGlobal});
     }
 };
-
-void
-BM_BitAlignWindowsPerWindow(benchmark::State &state)
-{
-    const int windows = static_cast<int>(state.range(0));
-    const WindowBatchFixture fixture(windows,
-                                     static_cast<int>(state.range(1)));
-    align::AlignScratch scratch;
-    align::WindowResult result;
-    for (auto _ : state) {
-        for (const auto &request : fixture.requests) {
-            align::alignWindow(request.window, request.pattern, request.k,
-                               request.mode, scratch, result);
-            benchmark::DoNotOptimize(result.editDistance);
-        }
-    }
-    state.SetItemsProcessed(state.iterations() * windows);
-}
 
 void
 BM_BitAlignWindowsBatched(benchmark::State &state)
@@ -320,16 +302,21 @@ BM_BitAlignWindowsBatched(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * windows);
 }
 
+/**
+ * windows = 1 is a lone lane (what alignWindow and the scheduler's
+ * last draining lane run), 2 and 4 fill a partial and a full batch,
+ * 8 two full batches; items/s is windows per second, so the cost of
+ * the idle lanes shows directly.
+ */
 void
 windowBatchArgs(benchmark::internal::Benchmark *bench)
 {
-    for (const int windows : {2, 4, 8})
+    for (const int windows : {1, 2, 4, 8})
         for (const int window_len : {64, 128})
             bench->Args({windows, window_len});
     bench->ArgNames({"windows", "window_len"});
 }
 
-BENCHMARK(BM_BitAlignWindowsPerWindow)->Apply(windowBatchArgs);
 BENCHMARK(BM_BitAlignWindowsBatched)->Apply(windowBatchArgs);
 
 void

@@ -2,8 +2,9 @@
  * @file
  * Shared helpers for the benchmark harnesses: canonical datasets
  * (long-read and short-read workloads mirroring the paper's Section 10
- * setup, scaled to synthetic genomes), wall-clock timing, workload
- * extraction for the hardware model, and table printing.
+ * setup, scaled to synthetic genomes), wall-clock timing and a
+ * median/min/max trial runner, workload extraction for the hardware
+ * model, and table printing.
  *
  * All benches are deterministic: datasets come from fixed seeds.
  */
@@ -11,11 +12,13 @@
 #ifndef SEGRAM_BENCH_BENCH_UTIL_H
 #define SEGRAM_BENCH_BENCH_UTIL_H
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #if defined(__linux__) || defined(__APPLE__)
@@ -39,6 +42,42 @@ timeSec(const std::function<void()> &fn)
     fn();
     const auto stop = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(stop - start).count();
+}
+
+/** Median, min and max of repeated measurements of one figure. */
+struct TrialStats
+{
+    double median = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+};
+
+/** Summarizes @p samples (non-empty); an even count averages the two
+ *  middle samples. */
+inline TrialStats
+summarize(std::vector<double> samples)
+{
+    std::sort(samples.begin(), samples.end());
+    const size_t mid = samples.size() / 2;
+    const double median = samples.size() % 2 == 1
+                              ? samples[mid]
+                              : 0.5 * (samples[mid - 1] + samples[mid]);
+    return {median, samples.front(), samples.back()};
+}
+
+/**
+ * The trial runner: times @p fn @p trials times (wall clock) and
+ * summarizes the seconds. Gates read the median, so one descheduled
+ * or cache-cold sample cannot flip a verdict; min/max show the spread.
+ */
+inline TrialStats
+timeTrials(int trials, const std::function<void()> &fn)
+{
+    std::vector<double> samples;
+    samples.reserve(static_cast<size_t>(trials));
+    for (int t = 0; t < trials; ++t)
+        samples.push_back(timeSec(fn));
+    return summarize(std::move(samples));
 }
 
 /**

@@ -35,22 +35,6 @@ numWindows(int read_len, const BitAlignConfig &config)
 }
 
 GraphAlignment
-alignExact(const graph::LinearizedGraphView &text, std::string_view read,
-           int k, AlignMode mode)
-{
-    const WindowResult window = alignWindow(text, read, k, mode);
-    GraphAlignment out;
-    out.found = window.found;
-    if (!window.found)
-        return out;
-    out.editDistance = window.editDistance;
-    out.textStart = window.startPos;
-    out.linearStart = text.linearStart() + window.startPos;
-    out.cigar = window.cigar;
-    return out;
-}
-
-GraphAlignment
 alignWindowed(const graph::LinearizedGraphView &text, std::string_view read,
               const BitAlignConfig &config)
 {

@@ -84,18 +84,6 @@ struct GraphAlignment
 };
 
 /**
- * Aligns @p read against @p text exactly (one window over everything).
- * Intended for short reads and for oracle comparisons; cost grows with
- * text length x read length x k. @p text is a zero-copy view (a
- * LinearizedGraph converts implicitly).
- *
- * @param k Edit distance threshold.
- */
-GraphAlignment alignExact(const graph::LinearizedGraphView &text,
-                          std::string_view read, int k,
-                          AlignMode mode = AlignMode::SemiGlobal);
-
-/**
  * Aligns @p read against @p text with the divide-and-conquer windowing
  * scheme. Falls back to a single exact window when the read fits in
  * one window. Per-window slicing is zero-copy (views over the parent

@@ -1,7 +1,11 @@
 /**
  * @file
- * BitAlignCore: Algorithm 1 of the paper on a single window, plus the
- * traceback bit-walk.
+ * BitAlignCore: Algorithm 1 of the paper on a single window — the
+ * pattern bitmasks, the per-window result and the single-window entry
+ * points. There is one implementation of the recurrence below, the
+ * lane-batched kernel of window_batch.h; a single window is a batch of
+ * one (tests/bitalign_oracle.h keeps an unfused per-window version of
+ * this comment's recurrence as the test oracle).
  *
  * The algorithm generalizes the GenASM/Bitap recurrence to a linearized,
  * topologically sorted subgraph. All bitvectors are active-low (0 =
@@ -36,10 +40,12 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "src/graph/linearize.h"
+#include "src/util/bitops_simd.h"
 #include "src/util/bitvector.h"
 #include "src/util/cigar.h"
 
@@ -100,20 +106,46 @@ struct WindowResult
 };
 
 /**
- * Reusable scratch storage for the aligners: pattern bitmasks, the flat
- * word slab every status bitvector (R[i][d], the virtual sink vectors,
- * the recurrence temporary) is carved from, and a per-window result.
- * One AlignScratch is the software image of one BitAlign module's
- * on-chip scratchpad: allocate it once per thread, reuse it for every
- * window of every read. All aligner entry points have overloads that
- * borrow one; the scratch-free overloads remain for convenience and
- * allocate a fresh scratch per call.
+ * Reusable scratch of one batched window computation: per-lane pattern
+ * bitmasks, the lane-major slab every stream (R columns, pattern
+ * masks, virtual sink vectors) is carved from, the per-lane exception
+ * lists and the dense gather/compute temporaries of the fixup path.
+ * Warm reuse makes batches heap-silent. Declared here rather than in
+ * window_batch.h (which re-exports it) because AlignScratch embeds one.
+ */
+struct WindowBatchScratch
+{
+    /**
+     * A position that breaks the fast sweep's single-successor-chain
+     * assumption, patched scalar right after its step.
+     */
+    struct Exception
+    {
+        int t;                            ///< lane-local step index
+        std::span<const uint16_t> succs;  ///< clipped successor deltas
+    };
+
+    std::array<PatternBitmasks, bitops::kBatchLanes> pm;
+    bitops::WordSlab slab;
+    std::array<std::vector<Exception>, bitops::kBatchLanes> exceptions;
+    std::vector<uint64_t> fixup; ///< dense columns of the patch path
+};
+
+/**
+ * Reusable scratch storage for the aligners: the batch scratch a
+ * single window runs in as a batch of one (lane 0's pattern bitmasks
+ * and the word slab every status bitvector is carved from; GenASM
+ * borrows the same two) plus a per-window result. One AlignScratch is
+ * the software image of one BitAlign module's on-chip scratchpad:
+ * allocate it once per thread, reuse it for every window of every
+ * read. All aligner entry points have overloads that borrow one; the
+ * scratch-free overloads remain for convenience and allocate a fresh
+ * scratch per call.
  */
 struct AlignScratch
 {
-    PatternBitmasks pm;    ///< rebuilt per window, storage reused
-    bitops::WordSlab slab; ///< backing store for all status bitvectors
-    WindowResult window;   ///< per-window result (alignWindowed's loop)
+    WindowBatchScratch batch; ///< the kernel's masks, slab and fixups
+    WindowResult window;      ///< per-window result (alignWindowed's loop)
 };
 
 /**
@@ -134,7 +166,8 @@ WindowResult alignWindow(const graph::LinearizedGraphView &text,
 /**
  * Allocation-free variant: all working storage comes from @p scratch
  * and the result is written into @p out (cleared first), so a warm
- * scratch makes the whole window computation heap-silent.
+ * scratch makes the whole window computation heap-silent. Runs
+ * alignWindowBatch with a batch of one.
  */
 void alignWindow(const graph::LinearizedGraphView &text,
                  std::string_view pattern, int k, AlignMode mode,

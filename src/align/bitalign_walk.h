@@ -4,13 +4,13 @@
  * scan over the R bitvectors and the traceback bit-walk (Algorithm 1
  * line 25), written once against a tiny bit-probe accessor.
  *
- * Two storage layouts feed these walks: the per-window path stores
- * R[i][d] as contiguous per-window rows, the lane-batched path stores
- * the same bits lane-major (struct-of-arrays across kBatchLanes
- * windows). Both layouts hold bit-identical values, so sharing the
- * walk — instead of duplicating the 4-way M/S/D/I preference logic —
- * is what makes "batched output == per-window output" a structural
- * property rather than a test-enforced one.
+ * Two storage layouts feed these walks: the lane-batched kernel
+ * (window_batch.cc) stores R[i][d] lane-major (struct-of-arrays across
+ * kBatchLanes windows), and the tests' per-window oracle
+ * (tests/bitalign_oracle.h) stores the same bits as contiguous
+ * per-window rows. Sharing the walk — instead of duplicating the 4-way
+ * M/S/D/I preference logic — means the oracle comparison checks the R
+ * bits themselves: equal bits give equal results by construction.
  *
  * Accessor contract (all probes are of active-low bits; "clear" means
  * the alignment predicate holds):

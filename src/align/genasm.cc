@@ -25,8 +25,10 @@ genAsmAlign(std::string_view text, std::string_view pattern, int k,
 {
     SEGRAM_CHECK(!text.empty(), "text must be non-empty");
     SEGRAM_CHECK(k >= 0, "edit distance threshold must be >= 0");
-    scratch.pm.assign(pattern);
-    const PatternBitmasks &pm = scratch.pm;
+    // GenASM borrows lane 0 of the BitAlign batch scratch: its pattern
+    // bitmasks and its word slab.
+    PatternBitmasks &pm = scratch.batch.pm[0];
+    pm.assign(pattern);
     const int n = static_cast<int>(text.size());
     const int nwords = pm.nwords;
     const int msb = pm.m - 1;
@@ -39,9 +41,10 @@ genAsmAlign(std::string_view text, std::string_view pattern, int k,
     const size_t levels = static_cast<size_t>(k) + 1;
     const size_t column_words =
         bitops::WordSlab::padded(levels * nwords);
-    scratch.slab.reset(2 * column_words);
-    uint64_t *old_r = scratch.slab.take(levels * nwords);
-    uint64_t *cur_r = scratch.slab.take(levels * nwords);
+    bitops::WordSlab &slab = scratch.batch.slab;
+    slab.reset(2 * column_words);
+    uint64_t *old_r = slab.take(levels * nwords);
+    uint64_t *cur_r = slab.take(levels * nwords);
     bitops::fillOnes(old_r, static_cast<int>(levels) * nwords);
     for (int d = 1; d <= k; ++d) {
         uint64_t *vec = old_r + static_cast<size_t>(d) * nwords;

@@ -16,7 +16,7 @@ constexpr int kLanes = bitops::kBatchLanes;
 /**
  * Gathers one lane's column @p t (all k+1 levels) from the lane-major
  * R stream into a dense per-window layout (dense[d*nw + j]), so the
- * fixup path can run the exact per-window kernel sequence on it.
+ * fixup path can run the full successor fold on it.
  */
 void
 gatherColumn(const uint64_t *rstream, size_t t, size_t levels, size_t nw,
@@ -50,8 +50,9 @@ gatherVirtual(const uint64_t *vstream, size_t levels, size_t nw, int lane,
 }
 
 /**
- * Recomputes one lane's column @p t with the per-window op sequence
- * (the same case split and fold order as computeBitvectorsWith), on
+ * Recomputes one lane's column @p t with the full successor fold of
+ * Algorithm 1 (first successor initializes, the rest AND in through
+ * the fused ops; an interior sink folds the virtual sink vectors), on
  * densely gathered successor columns. Overwrites whatever the fast
  * single-successor sweep left in that lane — the fixup runs before
  * step t+1 reads column t, so downstream state stays exact. The
@@ -149,12 +150,17 @@ struct BatchAccessor
     }
 };
 
-} // namespace
-
+/**
+ * The batch kernel behind every entry point: alignWindowBatch, and
+ * alignWindow / alignWindowDistanceOnly as a batch of one. With
+ * @p want_traceback false the lanes stop after the best-hit scan
+ * (found, editDistance, startPos), mirroring the hardware's ability
+ * to defer traceback.
+ */
 void
-alignWindowBatch(const WindowedAlignStream::Request *const requests[],
-                 WindowResult *const results[], int count,
-                 WindowBatchScratch &scratch)
+alignBatch(const WindowedAlignStream::Request *const requests[],
+           WindowResult *const results[], int count, bool want_traceback,
+           WindowBatchScratch &scratch)
 {
     SEGRAM_CHECK(count >= 1 && count <= kLanes,
                  "batch size must be in [1, kBatchLanes]");
@@ -193,7 +199,8 @@ alignWindowBatch(const WindowedAlignStream::Request *const requests[],
 
     // Virtual sink vectors, lane-major. Idle and retired lanes keep
     // all-ones (their R garbage is never probed); active lane w clears
-    // bits [0, min(d, m_w)) exactly like the per-window path.
+    // bits [0, min(d, m_w)): at level d, a pattern suffix of length
+    // <= d can still be consumed past the text end by insertions only.
     bitops::fillOnes(vstream, static_cast<int>(v_words));
     for (int w = 0; w < count; ++w) {
         const int m_w = scratch.pm[w].m;
@@ -256,9 +263,7 @@ alignWindowBatch(const WindowedAlignStream::Request *const requests[],
         }
     }
 
-    // Per-lane find + traceback through the shared walks — identical
-    // logic, different storage, so outputs match the per-window path
-    // bit for bit.
+    // Per-lane find + traceback through the shared walks.
     for (int w = 0; w < count; ++w) {
         WindowResult &result = *results[w];
         result.clear();
@@ -281,12 +286,72 @@ alignWindowBatch(const WindowedAlignStream::Request *const requests[],
         result.found = true;
         result.startPos = start;
         result.editDistance = dist;
+        if (!want_traceback)
+            continue;
         detail::tracebackWalk(acc, req.window, scratch.pm[w], start, dist,
                               &result);
         SEGRAM_DCHECK(static_cast<int>(result.cigar.editDistance()) == dist,
                       "traceback must realize the minimal distance");
         result.editDistance = static_cast<int>(result.cigar.editDistance());
     }
+}
+
+/** One request through the batch kernel as a batch of one. */
+void
+alignOne(const graph::LinearizedGraphView &text, std::string_view pattern,
+         int k, AlignMode mode, bool want_traceback, AlignScratch &scratch,
+         WindowResult &out)
+{
+    const WindowedAlignStream::Request request{text, pattern, k, mode};
+    const WindowedAlignStream::Request *requests[] = {&request};
+    WindowResult *results[] = {&out};
+    alignBatch(requests, results, 1, want_traceback, scratch.batch);
+}
+
+} // namespace
+
+void
+alignWindowBatch(const WindowedAlignStream::Request *const requests[],
+                 WindowResult *const results[], int count,
+                 WindowBatchScratch &scratch)
+{
+    alignBatch(requests, results, count, true, scratch);
+}
+
+WindowResult
+alignWindow(const graph::LinearizedGraphView &text,
+            std::string_view pattern, int k, AlignMode mode)
+{
+    AlignScratch scratch;
+    WindowResult result;
+    alignOne(text, pattern, k, mode, true, scratch, result);
+    return result;
+}
+
+void
+alignWindow(const graph::LinearizedGraphView &text,
+            std::string_view pattern, int k, AlignMode mode,
+            AlignScratch &scratch, WindowResult &out)
+{
+    alignOne(text, pattern, k, mode, true, scratch, out);
+}
+
+WindowResult
+alignWindowDistanceOnly(const graph::LinearizedGraphView &text,
+                        std::string_view pattern, int k, AlignMode mode)
+{
+    AlignScratch scratch;
+    WindowResult result;
+    alignOne(text, pattern, k, mode, false, scratch, result);
+    return result;
+}
+
+void
+alignWindowDistanceOnly(const graph::LinearizedGraphView &text,
+                        std::string_view pattern, int k, AlignMode mode,
+                        AlignScratch &scratch, WindowResult &out)
+{
+    alignOne(text, pattern, k, mode, false, scratch, out);
 }
 
 } // namespace segram::align

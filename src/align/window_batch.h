@@ -1,16 +1,19 @@
 /**
  * @file
  * Lane-batched BitAlign: up to bitops::kBatchLanes *independent*
- * window alignments computed simultaneously, one per SIMD lane.
+ * window alignments computed simultaneously, one per SIMD lane. This
+ * is the only implementation of the Algorithm 1 recurrence; the
+ * single-window entry points of bitalign_core.h run it with a batch of
+ * one.
  *
- * The per-window kernels (PR 6) vectorize across the *words* of one
- * window's bitvectors, but the mapping path's dominant 1–2-word
- * windows leave most of each register idle. This layer fills the lanes
- * instead: the R[i][d] state of kBatchLanes windows is kept lane-major
- * (word group j of lane w at index j*kBatchLanes+w), so one batched
- * sweep advances every window's recurrence at once — the software
- * image of GenASM's multi-PE array and the SeGraM HGA's parallel
- * compute rows, which batch independent recurrences exactly this way.
+ * The mapping path's dominant 1–2-word windows would leave most of a
+ * vector register idle if the kernel vectorized across the *words* of
+ * one window. This layer fills the lanes instead: the R[i][d] state of
+ * kBatchLanes windows is kept lane-major (word group j of lane w at
+ * index j*kBatchLanes+w), so one batched sweep advances every window's
+ * recurrence at once — the software image of GenASM's multi-PE array
+ * and the SeGraM HGA's parallel compute rows, which batch independent
+ * recurrences exactly this way.
  *
  * Because windows are independent, each lane steps through its *own*
  * column order: step t of lane w processes that window's position
@@ -22,11 +25,12 @@
  * hop fan-outs, non-unit deltas, interior sinks — are recorded while
  * the pattern-mask stream is built and patched immediately after the
  * fast sweep of their step: the lane's column is re-computed with the
- * exact per-window op sequence on densely gathered inputs and
- * scattered back. The patch runs before step t+1 reads column t, so
- * downstream state is always exact and the batched R bits equal the
- * per-window R bits everywhere — traceback (shared via
- * bitalign_walk.h) then reproduces per-window output bit for bit.
+ * full successor fold on densely gathered inputs and scattered back.
+ * The patch runs before step t+1 reads column t, so downstream state
+ * is always exact and each lane's R bits equal those of Algorithm 1
+ * run on that window alone (tests/bitalign_oracle.h checks this bit
+ * for bit); the find and traceback walks of bitalign_walk.h then read
+ * them through a lane accessor.
  *
  * Lanes whose window is shorter than the longest in the batch retire
  * early: their pattern-mask stream is padded with all-ones, the fast
@@ -39,49 +43,18 @@
 #ifndef SEGRAM_SRC_ALIGN_WINDOW_BATCH_H
 #define SEGRAM_SRC_ALIGN_WINDOW_BATCH_H
 
-#include <array>
-#include <cstdint>
-#include <span>
-#include <vector>
-
 #include "src/align/bitalign.h"
 #include "src/align/bitalign_core.h"
 #include "src/util/bitops_simd.h"
-#include "src/util/bitvector.h"
 
 namespace segram::align
 {
 
 /**
- * Reusable scratch of one batched window computation: per-lane pattern
- * bitmasks, the lane-major slab every stream (R columns, pattern
- * masks, virtual sink vectors) is carved from, the per-lane exception
- * lists and the dense gather/compute temporaries of the fixup path.
- * One per MapWorkspace; warm reuse makes batches heap-silent like the
- * per-window scratch.
- */
-struct WindowBatchScratch
-{
-    /**
-     * A position that breaks the fast sweep's single-successor-chain
-     * assumption, patched scalar right after its step.
-     */
-    struct Exception
-    {
-        int t;                            ///< lane-local step index
-        std::span<const uint16_t> succs;  ///< clipped successor deltas
-    };
-
-    std::array<PatternBitmasks, bitops::kBatchLanes> pm;
-    bitops::WordSlab slab;
-    std::array<std::vector<Exception>, bitops::kBatchLanes> exceptions;
-    std::vector<uint64_t> fixup; ///< dense columns of the patch path
-};
-
-/**
  * Aligns @p count (1..kBatchLanes) independent window requests at
- * once and writes each lane's WindowResult — bit-identical to calling
- * alignWindow on every request individually, on every backend.
+ * once and writes each lane's WindowResult (with traceback). A lane's
+ * result does not depend on the other lanes of its batch, nor on the
+ * kernel backend. WindowBatchScratch comes from bitalign_core.h.
  *
  * All requests must share the edit cap k; text lengths, pattern
  * lengths, and alignment modes may differ freely. The batch runs at

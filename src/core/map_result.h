@@ -72,10 +72,10 @@ struct PipelineStats
 
     // Lane-occupancy telemetry of the batched BitAlign path. All three
     // are deterministic counters (thread-count-invariant, like the
-    // work counters above): windows aligned through batched kernel
-    // launches, the launches themselves (occupancy = batchedWindows /
-    // batchLaunches), and windows that fell back to the per-window
-    // kernels (singleton groups, mismatched widths).
+    // work counters above): windows aligned through kernel launches of
+    // two or more lanes, those launches themselves (occupancy =
+    // batchedWindows / batchLaunches), and launches of a lone window
+    // (a batch of one, e.g. the last draining lane).
     uint64_t batchedWindows = 0;
     uint64_t batchLaunches = 0;
     uint64_t scalarWindows = 0;

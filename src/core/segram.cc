@@ -5,6 +5,7 @@
 #include <cmath>
 #include <utility>
 
+#include "src/align/window_batch.h"
 #include "src/core/reference.h"
 #include "src/util/check.h"
 #include "src/util/dna.h"
@@ -508,29 +509,24 @@ SegramMapper::mapReads(std::span<const std::string_view> reads,
         const auto align_start = timed ? clock::now() : clock::time_point{};
         // Every pending request joins one batch (k is uniform: every
         // request carries config_.bitalign.windowEditCap, and
-        // alignWindowBatch pads mixed widths to the widest lane), so
-        // rounds with >= 2 active lanes always go through the
-        // lane-batched kernels; only a lone draining lane takes the
-        // per-window path. Lane order is deterministic, so the
-        // occupancy counters are too.
+        // alignWindowBatch pads mixed widths to the widest lane). A
+        // lone draining lane is a batch of one and counts as a scalar
+        // window; rounds with >= 2 lanes count as batched launches.
+        // Lane order is deterministic, so the occupancy counters are
+        // too.
+        const align::WindowedAlignStream::Request
+            *requests[bitops::kBatchLanes];
+        align::WindowResult *window_results[bitops::kBatchLanes];
+        for (int i = 0; i < num_pending; ++i) {
+            requests[i] = &pending[i]->stream.request();
+            window_results[i] = &pending[i]->window;
+        }
+        align::alignWindowBatch(requests, window_results, num_pending,
+                                workspace.align.batch);
         if (num_pending >= 2) {
-            const align::WindowedAlignStream::Request
-                *requests[bitops::kBatchLanes];
-            align::WindowResult *window_results[bitops::kBatchLanes];
-            for (int i = 0; i < num_pending; ++i) {
-                requests[i] = &pending[i]->stream.request();
-                window_results[i] = &pending[i]->window;
-            }
-            align::alignWindowBatch(requests, window_results, num_pending,
-                                    workspace.batch);
             ++local.batchLaunches;
             local.batchedWindows += static_cast<uint64_t>(num_pending);
         } else {
-            const align::WindowedAlignStream::Request &request =
-                pending[0]->stream.request();
-            align::alignWindow(request.window, request.pattern, request.k,
-                               request.mode, workspace.align,
-                               pending[0]->window);
             ++local.scalarWindows;
         }
         if (timed)

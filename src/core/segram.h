@@ -145,8 +145,8 @@ class SegramMapper : public MappingEngine
      * fill a lane, speculatively from later regions of a task whose
      * early-exit check is still pending. Each round, every pending
      * window request joins one lane-batched kernel launch (mixed
-     * widths pad to the widest); a lone draining lane takes the
-     * per-window path. Region outcomes commit strictly in region
+     * widths pad to the widest); a lone draining lane is a batch of
+     * one. Region outcomes commit strictly in region
      * order and speculative work past an early exit is discarded, so
      * every per-strand decision (region order, best-update
      * tie-breaking, early exit, strand merge) and every committed

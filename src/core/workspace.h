@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "src/align/bitalign.h"
-#include "src/align/window_batch.h"
 #include "src/core/map_result.h"
 #include "src/graph/linearize.h"
 #include "src/seed/chaining.h"
@@ -116,11 +115,13 @@ struct MapWorkspace
 
     // --- alignment ---
     graph::LinearizedGraph linearization; ///< candidate-region subgraph
-    align::AlignScratch align;            ///< bitvector slab + PM masks
+    /** BitAlign kernel scratch: the lane-major bitvector slab and the
+     *  per-lane PM masks, shared by mapRead's per-region loop and
+     *  mapReads' lane batches. */
+    align::AlignScratch align;
     align::GraphAlignment alignment;      ///< per-region result (reused)
 
     // --- lane-batched scheduling (SegramMapper::mapReads) ---
-    align::WindowBatchScratch batch;  ///< lane-major bitvector streams
     std::vector<StrandTask> tasks;    ///< strand-task pool
     std::vector<int> activeTasks;     ///< pool indices, activation order
     std::vector<LaneSlot> lanes;      ///< kBatchLanes region streams

@@ -1,37 +1,12 @@
 #include "src/io/fastq.h"
 
 #include <fstream>
-#include <istream>
 #include <ostream>
 
-#include "src/io/fastx.h"
 #include "src/util/check.h"
 
 namespace segram::io
 {
-
-std::vector<FastqRecord>
-readFastq(std::istream &in)
-{
-    // The streaming FastxReader is the single FASTQ parser; this eager
-    // entry point just collects its records.
-    FastxReader reader(in, FastxFormat::Fastq);
-    std::vector<FastqRecord> records;
-    FastxRecord record;
-    while (reader.next(record)) {
-        records.push_back({std::move(record.name), std::move(record.seq),
-                           std::move(record.qual)});
-    }
-    return records;
-}
-
-std::vector<FastqRecord>
-readFastqFile(const std::string &path)
-{
-    std::ifstream in(path);
-    SEGRAM_CHECK(in.good(), "cannot open FASTQ file: " + path);
-    return readFastq(in);
-}
 
 void
 writeFastq(std::ostream &out, const std::vector<FastqRecord> &records)
@@ -51,17 +26,6 @@ writeFastqFile(const std::string &path,
     std::ofstream out(path);
     SEGRAM_CHECK(out.good(), "cannot open FASTQ file for write: " + path);
     writeFastq(out, records);
-}
-
-std::vector<FastaRecord>
-readReadsFile(const std::string &path)
-{
-    FastxReader reader(path);
-    std::vector<FastaRecord> out;
-    FastxRecord record;
-    while (reader.next(record))
-        out.push_back({std::move(record.name), std::move(record.seq)});
-    return out;
 }
 
 } // namespace segram::io

@@ -1,9 +1,9 @@
 /**
  * @file
- * FASTQ reading/writing: sequencing reads ship as FASTQ (sequence +
- * per-base quality). The pipeline ignores qualities, but a mapper a
- * downstream user adopts must ingest the format; readReadsFile()
- * dispatches between FASTA and FASTQ by content.
+ * FASTQ writing: sequencing reads ship as FASTQ (sequence + per-base
+ * quality), and `segram simulate` emits its reads in it. Reading goes
+ * through the streaming io::FastxReader (fastx.h), which parses both
+ * FASTA and FASTQ.
  */
 
 #ifndef SEGRAM_SRC_IO_FASTQ_H
@@ -13,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "src/io/fasta.h"
-
 namespace segram::io
 {
 
@@ -22,22 +20,11 @@ namespace segram::io
 struct FastqRecord
 {
     std::string name;
-    std::string seq;  ///< normalized to upper-case ACGT
+    std::string seq;  ///< sequence, written as given
     std::string qual; ///< Phred+33 string, same length as seq
 
     bool operator==(const FastqRecord &) const = default;
 };
-
-/**
- * Parses FASTQ from a stream (strict 4-line records).
- *
- * @throws InputError on malformed headers, truncated records, or a
- *         quality string whose length differs from the sequence.
- */
-std::vector<FastqRecord> readFastq(std::istream &in);
-
-/** Parses FASTQ from a file. @throws InputError if unreadable. */
-std::vector<FastqRecord> readFastqFile(const std::string &path);
 
 /** Writes records as FASTQ. */
 void writeFastq(std::ostream &out, const std::vector<FastqRecord> &records);
@@ -45,16 +32,6 @@ void writeFastq(std::ostream &out, const std::vector<FastqRecord> &records);
 /** Writes records to a file. @throws InputError if not writable. */
 void writeFastqFile(const std::string &path,
                     const std::vector<FastqRecord> &records);
-
-/**
- * Reads a read set from either FASTA or FASTQ, sniffing the format
- * from the first non-empty character ('>' vs '@'). Qualities, when
- * present, are dropped.
- *
- * @throws InputError when the file is unreadable, empty, or neither
- *         format.
- */
-std::vector<FastaRecord> readReadsFile(const std::string &path);
 
 } // namespace segram::io
 

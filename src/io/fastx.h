@@ -3,14 +3,13 @@
  * Streaming FASTA/FASTQ ingestion behind one iterator.
  *
  * The batch pipeline (tools/segram_cli.cc, core::ShardedBatchMapper)
- * must not hold a whole read set in memory the way
- * readFastaFile/readFastqFile do — a real sequencing run is tens of
- * gigabytes. FastxReader yields
- * records incrementally from either format (sniffed from the first
- * non-blank character, or forced by the caller), so the mapper can
- * stream fixed-size batches end to end. The eager readFasta/readFastq
- * entry points in fasta.cc/fastq.cc are thin collectors over this
- * reader, keeping a single parser for both formats.
+ * must not hold a whole read set in memory — a real sequencing run is
+ * tens of gigabytes. FastxReader yields records incrementally from
+ * either format (sniffed from the first non-blank character, or forced
+ * by the caller), so the mapper can stream fixed-size batches end to
+ * end. It is the only read parser: reads are only ever streamed, and
+ * the eager readFasta/readFastaFile of fasta.cc (reference loading)
+ * are thin collectors over a forced-FASTA reader.
  */
 
 #ifndef SEGRAM_SRC_IO_FASTX_H
@@ -65,9 +64,9 @@ class FastxReader
     /**
      * Reads from a caller-owned stream (which must outlive the
      * reader). @p force skips sniffing and parses strictly as the
-     * given format — the eager readFasta/readFastq wrappers use this
-     * so a FASTQ file fed to readFasta still fails loudly. A sniffed
-     * empty stream throws; a forced empty stream yields zero records.
+     * given format — the eager readFasta wrapper uses this so a FASTQ
+     * file fed to it still fails loudly. A sniffed empty stream
+     * throws; a forced empty stream yields zero records.
      */
     explicit FastxReader(std::istream &in,
                          std::optional<FastxFormat> force = std::nullopt);

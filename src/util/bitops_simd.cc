@@ -26,22 +26,6 @@ namespace
 // may fully alias the destination, mirroring the vector backends.
 
 void
-scalarShiftLeftOne(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    for (int i = nwords - 1; i >= 1; --i)
-        dst[i] = (src[i] << 1) | (src[i - 1] >> 63);
-    if (nwords > 0)
-        dst[0] = src[0] << 1;
-}
-
-void
-scalarAndInPlace(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    for (int i = 0; i < nwords; ++i)
-        dst[i] &= src[i];
-}
-
-void
 scalarShiftLeftOneOr(uint64_t *dst, const uint64_t *src,
                      const uint64_t *mask, int nwords)
 {
@@ -83,13 +67,6 @@ scalarFusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
         dst[0] = (ins[0] << 1) & ds[0] & (ds[0] << 1) &
                  ((match[0] << 1) | pm[0]);
     }
-}
-
-void
-scalarFillOnes(uint64_t *dst, int nwords)
-{
-    for (int i = 0; i < nwords; ++i)
-        dst[i] = ~uint64_t{0};
 }
 
 // Lane-batched ops: word group j of lane w lives at j * kBatchLanes + w
@@ -154,9 +131,8 @@ scalarBatchColumn(uint64_t *col, const uint64_t *prev, const uint64_t *pm,
 }
 
 constexpr KernelOps kScalarOps = {
-    scalarShiftLeftOne,  scalarAndInPlace, scalarShiftLeftOneOr,
-    scalarShiftLeftOneOrAnd, scalarAndShiftAnd, scalarFusedCell,
-    scalarFillOnes, scalarBatchShiftLeftOneOr, scalarBatchFusedCell,
+    scalarShiftLeftOneOr, scalarShiftLeftOneOrAnd, scalarAndShiftAnd,
+    scalarFusedCell, scalarBatchShiftLeftOneOr, scalarBatchFusedCell,
     scalarBatchColumn,
 };
 
@@ -179,40 +155,6 @@ __attribute__((target("avx2"))) inline __m256i
 avx2Load(const uint64_t *p)
 {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
-}
-
-__attribute__((target("avx2"))) void
-avx2ShiftLeftOne(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 4; i -= 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 3));
-        const __m256i p = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i - 4));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i - 3),
-                            avx2ShiftIn(v, p));
-    }
-    for (; i >= 1; --i)
-        dst[i] = (src[i] << 1) | (src[i - 1] >> 63);
-    if (nwords > 0)
-        dst[0] = src[0] << 1;
-}
-
-__attribute__((target("avx2"))) void
-avx2AndInPlace(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    int i = 0;
-    for (; i + 4 <= nwords; i += 4) {
-        const __m256i d = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst + i));
-        const __m256i s = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
-                            _mm256_and_si256(d, s));
-    }
-    for (; i < nwords; ++i)
-        dst[i] &= src[i];
 }
 
 __attribute__((target("avx2"))) void
@@ -314,17 +256,6 @@ avx2FusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
         dst[0] = (ins[0] << 1) & ds[0] & (ds[0] << 1) &
                  ((match[0] << 1) | pm[0]);
     }
-}
-
-__attribute__((target("avx2"))) void
-avx2FillOnes(uint64_t *dst, int nwords)
-{
-    int i = 0;
-    const __m256i ones = _mm256_set1_epi64x(-1);
-    for (; i + 4 <= nwords; i += 4)
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i), ones);
-    for (; i < nwords; ++i)
-        dst[i] = ~uint64_t{0};
 }
 
 // Lane-batched ops: one word group of all kBatchLanes lanes is exactly
@@ -465,9 +396,8 @@ avx2BatchColumn(uint64_t *col, const uint64_t *prev, const uint64_t *pm,
 }
 
 constexpr KernelOps kAvx2Ops = {
-    avx2ShiftLeftOne,  avx2AndInPlace, avx2ShiftLeftOneOr,
-    avx2ShiftLeftOneOrAnd, avx2AndShiftAnd, avx2FusedCell,
-    avx2FillOnes, avx2BatchShiftLeftOneOr, avx2BatchFusedCell,
+    avx2ShiftLeftOneOr, avx2ShiftLeftOneOrAnd, avx2AndShiftAnd,
+    avx2FusedCell, avx2BatchShiftLeftOneOr, avx2BatchFusedCell,
     avx2BatchColumn,
 };
 
@@ -482,32 +412,6 @@ inline uint64x2_t
 neonShiftIn(uint64x2_t v, uint64x2_t below)
 {
     return vorrq_u64(vshlq_n_u64(v, 1), vshrq_n_u64(below, 63));
-}
-
-void
-neonShiftLeftOne(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    int i = nwords - 1;
-    for (; i >= 2; i -= 2) {
-        const uint64x2_t v = vld1q_u64(src + i - 1);
-        const uint64x2_t p = vld1q_u64(src + i - 2);
-        vst1q_u64(dst + i - 1, neonShiftIn(v, p));
-    }
-    for (; i >= 1; --i)
-        dst[i] = (src[i] << 1) | (src[i - 1] >> 63);
-    if (nwords > 0)
-        dst[0] = src[0] << 1;
-}
-
-void
-neonAndInPlace(uint64_t *dst, const uint64_t *src, int nwords)
-{
-    int i = 0;
-    for (; i + 2 <= nwords; i += 2)
-        vst1q_u64(dst + i,
-                  vandq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-    for (; i < nwords; ++i)
-        dst[i] &= src[i];
 }
 
 void
@@ -589,17 +493,6 @@ neonFusedCell(uint64_t *dst, const uint64_t *ins, const uint64_t *ds,
         dst[0] = (ins[0] << 1) & ds[0] & (ds[0] << 1) &
                  ((match[0] << 1) | pm[0]);
     }
-}
-
-void
-neonFillOnes(uint64_t *dst, int nwords)
-{
-    int i = 0;
-    const uint64x2_t ones = vdupq_n_u64(~uint64_t{0});
-    for (; i + 2 <= nwords; i += 2)
-        vst1q_u64(dst + i, ones);
-    for (; i < nwords; ++i)
-        dst[i] = ~uint64_t{0};
 }
 
 // Lane-batched ops: one word group of the 4 lanes spans two 128-bit
@@ -745,9 +638,8 @@ neonBatchColumn(uint64_t *col, const uint64_t *prev, const uint64_t *pm,
 }
 
 constexpr KernelOps kNeonOps = {
-    neonShiftLeftOne,  neonAndInPlace, neonShiftLeftOneOr,
-    neonShiftLeftOneOrAnd, neonAndShiftAnd, neonFusedCell,
-    neonFillOnes, neonBatchShiftLeftOneOr, neonBatchFusedCell,
+    neonShiftLeftOneOr, neonShiftLeftOneOrAnd, neonAndShiftAnd,
+    neonFusedCell, neonBatchShiftLeftOneOr, neonBatchFusedCell,
     neonBatchColumn,
 };
 

@@ -2,7 +2,9 @@
  * @file
  * Unit tests for the align module: Algorithm 1 on handcrafted graphs
  * (branches, bypass hops, sinks), traceback CIGAR validity, windowed
- * divide-and-conquer, the GenASM S2S special case, and Myers.
+ * divide-and-conquer, the lane-batched kernel against the per-window
+ * oracle (tests/bitalign_oracle.h), the GenASM S2S special case, and
+ * Myers.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,8 @@
 #include "src/graph/linearize.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
+#include "tests/align_test_util.h"
+#include "tests/bitalign_oracle.h"
 
 namespace segram::align
 {
@@ -302,11 +306,13 @@ TEST(BitAlignWindowed, MatchesExactOnShortReads)
     BitAlignConfig config;
     config.windowEditCap = 4;
     const auto windowed = alignWindowed(text, "GTACGTAC", config);
-    const auto exact = alignExact(text, "GTACGTAC", 4);
+    const auto exact = alignWindow(text, "GTACGTAC", 4);
     ASSERT_TRUE(windowed.found);
     ASSERT_TRUE(exact.found);
     EXPECT_EQ(windowed.editDistance, exact.editDistance);
-    EXPECT_EQ(windowed.linearStart, exact.linearStart);
+    EXPECT_EQ(windowed.textStart, exact.startPos);
+    EXPECT_EQ(windowed.linearStart, text.linearStart() + exact.startPos);
+    EXPECT_EQ(windowed.cigar, exact.cigar);
 }
 
 TEST(BitAlignWindowed, NumWindowsMatchesPaper)
@@ -454,12 +460,28 @@ TEST(BitAlign, ViewAlignsLikeWindowCopy)
     }
 }
 
+/** Asserts two window results agree field for field. */
+void
+expectSameWindowResult(const WindowResult &want, const WindowResult &got,
+                       const std::string &label)
+{
+    ASSERT_EQ(want.found, got.found) << label;
+    if (!want.found)
+        return;
+    EXPECT_EQ(want.startPos, got.startPos) << label;
+    EXPECT_EQ(want.editDistance, got.editDistance) << label;
+    EXPECT_EQ(want.cigar.toString(), got.cigar.toString()) << label;
+    EXPECT_EQ(want.textPositions, got.textPositions) << label;
+}
+
 /**
  * Runs @p requests through alignWindowBatch and asserts every lane is
- * bit-identical to a standalone alignWindow call on the same request.
+ * bit-identical to the per-window oracle (tests/bitalign_oracle.h) on
+ * the same request. @return Lanes with an alignment (so callers can
+ * check their cases do not all miss).
  */
-void
-expectBatchMatchesPerWindow(
+int
+expectBatchMatchesOracle(
     const std::vector<WindowedAlignStream::Request> &requests,
     WindowBatchScratch &scratch, const std::string &label)
 {
@@ -472,25 +494,19 @@ expectBatchMatchesPerWindow(
         resp.push_back(&batched[static_cast<size_t>(w)]);
     }
     alignWindowBatch(reqp.data(), resp.data(), count, scratch);
+    int found = 0;
     for (int w = 0; w < count; ++w) {
         const auto &req = requests[static_cast<size_t>(w)];
-        const WindowResult solo =
-            alignWindow(req.window, req.pattern, req.k, req.mode);
-        const WindowResult &got = batched[static_cast<size_t>(w)];
-        ASSERT_EQ(solo.found, got.found) << label << ", lane " << w;
-        if (!solo.found)
-            continue;
-        EXPECT_EQ(solo.startPos, got.startPos) << label << ", lane " << w;
-        EXPECT_EQ(solo.editDistance, got.editDistance)
-            << label << ", lane " << w;
-        EXPECT_EQ(solo.cigar.toString(), got.cigar.toString())
-            << label << ", lane " << w;
-        EXPECT_EQ(solo.textPositions, got.textPositions)
-            << label << ", lane " << w;
+        const WindowResult want =
+            oracleAlignWindow(req.window, req.pattern, req.k, req.mode);
+        expectSameWindowResult(want, batched[static_cast<size_t>(w)],
+                               label + ", lane " + std::to_string(w));
+        found += want.found ? 1 : 0;
     }
+    return found;
 }
 
-TEST(WindowBatch, MatchesPerWindowOnRandomChains)
+TEST(WindowBatch, MatchesOracleOnRandomChains)
 {
     // Ragged batch sizes, mixed text and pattern lengths (window
     // lengths differ -> early-retiring lanes; pattern lengths cross
@@ -526,12 +542,12 @@ TEST(WindowBatch, MatchesPerWindowOnRandomChains)
                                 patterns[static_cast<size_t>(w)], k,
                                 mode});
         }
-        expectBatchMatchesPerWindow(requests, scratch,
+        expectBatchMatchesOracle(requests, scratch,
                                     "trial " + std::to_string(trial));
     }
 }
 
-TEST(WindowBatch, MatchesPerWindowOnBranchyGraphs)
+TEST(WindowBatch, MatchesOracleOnBranchyGraphs)
 {
     // Hop fan-outs, deletion bypass hops and insertion branches break
     // the fast sweep's single-successor assumption — the exception
@@ -548,14 +564,106 @@ TEST(WindowBatch, MatchesPerWindowOnBranchyGraphs)
     const std::string patterns[] = {"ACGGACGT", "ACGAACGT", "ACGTTTACGT",
                                     "ACCTACGTTACGT"};
     WindowBatchScratch scratch;
-    std::vector<WindowedAlignStream::Request> requests;
-    for (int w = 0; w < 4; ++w)
-        requests.push_back({graph::LinearizedGraphView(texts[w]),
-                            patterns[w], 3, AlignMode::SemiGlobal});
-    expectBatchMatchesPerWindow(requests, scratch, "branchy");
+    // Every count 1-4, every rotation of the four shapes over the lanes.
+    for (int count = 1; count <= 4; ++count) {
+        for (int first = 0; first < 4; ++first) {
+            std::vector<WindowedAlignStream::Request> requests;
+            for (int w = 0; w < count; ++w) {
+                const int g = (first + w) % 4;
+                requests.push_back({graph::LinearizedGraphView(texts[g]),
+                                    patterns[g], 3,
+                                    AlignMode::SemiGlobal});
+            }
+            expectBatchMatchesOracle(requests, scratch,
+                                     "branchy, count " +
+                                         std::to_string(count) +
+                                         ", first " +
+                                         std::to_string(first));
+        }
+    }
 }
 
-TEST(WindowBatch, MixedWidthLanesStayBitIdentical)
+TEST(WindowBatch, MatchesOracleOnRandomDags)
+{
+    // Random DAGs with extra hops (fan-outs of 2+ successors, non-unit
+    // deltas) and chain breaks (interior sinks): every shape the
+    // per-lane fixup patches, mixed with chain runs, at counts 1-4.
+    Rng rng(0xda65);
+    WindowBatchScratch scratch;
+    int lanes = 0;
+    int found = 0;
+    std::vector<LinearizedGraph> texts;
+    std::vector<std::string> patterns;
+    for (int trial = 0; trial < 80; ++trial) {
+        const int count = 1 + trial % 4;
+        const int k = static_cast<int>(rng.nextBelow(7));
+        texts.clear();
+        patterns.clear();
+        for (int w = 0; w < count; ++w) {
+            const int size = 8 + static_cast<int>(rng.nextBelow(100));
+            texts.push_back(randomDag(rng, size, 0.2, 0.05));
+            const int len = 4 + static_cast<int>(rng.nextBelow(90));
+            int edits = 0;
+            patterns.push_back(mutate(samplePath(texts.back(), rng, len),
+                                      rng, 0.05, &edits));
+        }
+        std::vector<WindowedAlignStream::Request> requests;
+        for (int w = 0; w < count; ++w) {
+            const AlignMode mode = rng.nextBelow(3) == 0
+                                       ? AlignMode::Anchored
+                                       : AlignMode::SemiGlobal;
+            requests.push_back({graph::LinearizedGraphView(
+                                    texts[static_cast<size_t>(w)]),
+                                patterns[static_cast<size_t>(w)], k,
+                                mode});
+        }
+        lanes += count;
+        found += expectBatchMatchesOracle(
+            requests, scratch, "dag trial " + std::to_string(trial));
+    }
+    EXPECT_GT(2 * found, lanes); // most cases align
+}
+
+TEST(WindowBatch, SingleWindowEntryPointsMatchOracle)
+{
+    // alignWindow and alignWindowDistanceOnly, scratch and scratch-free,
+    // are the batch kernel at count 1; one warm scratch serves windows
+    // of every size.
+    Rng rng(0x51e);
+    AlignScratch scratch;
+    WindowResult got;
+    int found = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+        const int k = static_cast<int>(rng.nextBelow(9));
+        const int size = 4 + static_cast<int>(rng.nextBelow(160));
+        const LinearizedGraph text = randomDag(rng, size, 0.15, 0.03);
+        const int len = 1 + static_cast<int>(rng.nextBelow(140));
+        int edits = 0;
+        const std::string pattern =
+            mutate(samplePath(text, rng, len), rng, 0.05, &edits);
+        const AlignMode mode = trial % 3 == 0 ? AlignMode::Anchored
+                                              : AlignMode::SemiGlobal;
+        const std::string label = "trial " + std::to_string(trial);
+        const WindowResult want = oracleAlignWindow(text, pattern, k, mode);
+        found += want.found ? 1 : 0;
+        expectSameWindowResult(want, alignWindow(text, pattern, k, mode),
+                               label);
+        alignWindow(text, pattern, k, mode, scratch, got);
+        expectSameWindowResult(want, got, label + ", scratch");
+
+        const WindowResult want_dist =
+            oracleAlignWindow(text, pattern, k, mode, false);
+        expectSameWindowResult(
+            want_dist, alignWindowDistanceOnly(text, pattern, k, mode),
+            label + ", distance only");
+        alignWindowDistanceOnly(text, pattern, k, mode, scratch, got);
+        expectSameWindowResult(want_dist, got,
+                               label + ", distance only, scratch");
+    }
+    EXPECT_GT(2 * found, 60); // most cases align
+}
+
+TEST(WindowBatch, MixedWidthLanesMatchOracle)
 {
     // One-word and two-word patterns in the same batch: the narrow
     // lanes ride padded to the widest lane's word count with all-ones
@@ -568,7 +676,7 @@ TEST(WindowBatch, MixedWidthLanesStayBitIdentical)
     const std::string narrow = text.substr(10, 20);   // 1 word
     const std::string wide = text.substr(40, 100);    // 2 words
     WindowBatchScratch scratch;
-    std::vector<WindowedAlignStream::Request> requests = {
+    const std::vector<WindowedAlignStream::Request> all = {
         {graph::LinearizedGraphView(whole), narrow, 4,
          AlignMode::SemiGlobal},
         {graph::LinearizedGraphView(whole), wide, 4,
@@ -577,7 +685,19 @@ TEST(WindowBatch, MixedWidthLanesStayBitIdentical)
         {graph::LinearizedGraphView(whole), narrow, 4,
          AlignMode::Anchored},
     };
-    expectBatchMatchesPerWindow(requests, scratch, "mixed-width");
+    // Every count 1-4, every rotation of the four requests.
+    for (size_t count = 1; count <= all.size(); ++count) {
+        for (size_t first = 0; first < all.size(); ++first) {
+            std::vector<WindowedAlignStream::Request> requests;
+            for (size_t w = 0; w < count; ++w)
+                requests.push_back(all[(first + w) % all.size()]);
+            expectBatchMatchesOracle(requests, scratch,
+                                     "mixed-width, count " +
+                                         std::to_string(count) +
+                                         ", first " +
+                                         std::to_string(first));
+        }
+    }
 }
 
 TEST(WindowBatch, RejectsMismatchedEditCaps)

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the io substrate: FASTA, VCF and GFA parsing/writing,
- * including malformed-input failure injection.
+ * Tests for the io substrate: FASTA, FASTQ (through the streaming
+ * FastxReader), VCF and GFA parsing/writing, including malformed-input
+ * failure injection.
  */
 
 #include <gtest/gtest.h>
@@ -242,12 +243,31 @@ TEST(Gfa, RejectsMalformedPaths)
     EXPECT_THROW(readGfa(reverse_walk), InputError);
 }
 
+/** Drains @p reader into a vector. */
+std::vector<FastxRecord>
+readAll(FastxReader &reader)
+{
+    std::vector<FastxRecord> records;
+    FastxRecord record;
+    while (reader.next(record))
+        records.push_back(record);
+    return records;
+}
+
+/** Parses @p in strictly as FASTQ (a forced-format reader). */
+std::vector<FastxRecord>
+readFastqStrict(std::istream &in)
+{
+    FastxReader reader(in, FastxFormat::Fastq);
+    return readAll(reader);
+}
+
 TEST(Fastq, ParsesRecords)
 {
     std::istringstream in(
         "@read1 extra stuff\nACGT\n+\nIIII\n@read2\nTTNA\n+anything\n"
         "!!!!\n");
-    const auto records = readFastq(in);
+    const auto records = readFastqStrict(in);
     ASSERT_EQ(records.size(), 2u);
     EXPECT_EQ(records[0].name, "read1");
     EXPECT_EQ(records[0].seq, "ACGT");
@@ -262,20 +282,22 @@ TEST(Fastq, RoundTrip)
     std::ostringstream out;
     writeFastq(out, records);
     std::istringstream in(out.str());
-    EXPECT_EQ(readFastq(in), records);
+    const std::vector<FastxRecord> expected = {
+        {"a", "ACGTAC", "IIIIII"}, {"b", "TT", "!!"}};
+    EXPECT_EQ(readFastqStrict(in), expected);
 }
 
 TEST(Fastq, RejectsMalformed)
 {
     std::istringstream no_at(">x\nACGT\n+\nIIII\n");
-    EXPECT_THROW(readFastq(no_at), InputError);
+    EXPECT_THROW(readFastqStrict(no_at), InputError);
     std::istringstream truncated("@x\nACGT\n+\n");
-    EXPECT_THROW(readFastq(truncated), InputError);
+    EXPECT_THROW(readFastqStrict(truncated), InputError);
     std::istringstream bad_plus("@x\nACGT\nIIII\nIIII\n");
-    EXPECT_THROW(readFastq(bad_plus), InputError);
+    EXPECT_THROW(readFastqStrict(bad_plus), InputError);
     std::istringstream qual_mismatch("@x\nACGT\n+\nII\n");
-    EXPECT_THROW(readFastq(qual_mismatch), InputError);
-    EXPECT_THROW(readFastqFile("/nonexistent/reads.fq"), InputError);
+    EXPECT_THROW(readFastqStrict(qual_mismatch), InputError);
+    EXPECT_THROW(FastxReader("/nonexistent/reads.fq"), InputError);
 }
 
 TEST(Fastx, StreamsFastaIncrementally)
@@ -675,22 +697,27 @@ TEST_F(FileRoundTrip, IsGfaFileSniffsContent)
     EXPECT_FALSE(isGfaFile(path("absent.gfa")));
 }
 
-TEST_F(FileRoundTrip, ReadsFileSniffsFormat)
+TEST_F(FileRoundTrip, ReaderSniffsFileFormat)
 {
     writeFastaFile(path("r.fa"), {{"a", "ACGT"}});
     writeFastqFile(path("r.fq"), {{"b", "GGTT", "IIII"}});
-    const auto from_fasta = readReadsFile(path("r.fa"));
+    FastxReader fasta_reader(path("r.fa"));
+    EXPECT_EQ(fasta_reader.format(), FastxFormat::Fasta);
+    const auto from_fasta = readAll(fasta_reader);
     ASSERT_EQ(from_fasta.size(), 1u);
     EXPECT_EQ(from_fasta[0].seq, "ACGT");
-    const auto from_fastq = readReadsFile(path("r.fq"));
+    FastxReader fastq_reader(path("r.fq"));
+    EXPECT_EQ(fastq_reader.format(), FastxFormat::Fastq);
+    const auto from_fastq = readAll(fastq_reader);
     ASSERT_EQ(from_fastq.size(), 1u);
     EXPECT_EQ(from_fastq[0].name, "b");
     EXPECT_EQ(from_fastq[0].seq, "GGTT");
+    EXPECT_EQ(from_fastq[0].qual, "IIII");
     // Neither format:
     std::ofstream junk(path("r.txt"));
     junk << "hello\n";
     junk.close();
-    EXPECT_THROW(readReadsFile(path("r.txt")), InputError);
+    EXPECT_THROW(FastxReader reader(path("r.txt")), InputError);
 }
 
 TEST_F(FileRoundTrip, WriteToUnwritablePathThrows)

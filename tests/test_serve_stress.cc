@@ -27,6 +27,7 @@
 #include <string>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "src/core/reference.h"
@@ -79,9 +80,11 @@ class ServeStressTest : public ::testing::Test
         read_config.revCompProbability = 0.25;
         const auto simulated =
             sim::simulateReads(dataset_->donor, read_config, rng);
-        for (size_t i = 0; i < simulated.size(); ++i)
-            reads_.push_back({"r" + std::to_string(i),
-                              simulated[i].seq});
+        for (size_t i = 0; i < simulated.size(); ++i) {
+            std::string name = "r";
+            name += std::to_string(i);
+            reads_.push_back({std::move(name), simulated[i].seq});
+        }
     }
 
     void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -104,14 +104,6 @@ TEST(SimdKernels, AllPrimitivesMatchScalarOnAllWidths)
                     << op << " diverged on backend " << backend.name
                     << " at width " << width;
             };
-            check("shiftLeftOne",
-                  [&](const bitops::KernelOps &k, uint64_t *dst) {
-                      k.shiftLeftOne(dst, src.data(), nwords);
-                  });
-            check("andInPlace",
-                  [&](const bitops::KernelOps &k, uint64_t *dst) {
-                      k.andInPlace(dst, src.data(), nwords);
-                  });
             check("shiftLeftOneOr",
                   [&](const bitops::KernelOps &k, uint64_t *dst) {
                       k.shiftLeftOneOr(dst, src.data(), mask.data(),
@@ -125,10 +117,6 @@ TEST(SimdKernels, AllPrimitivesMatchScalarOnAllWidths)
             check("andShiftAnd",
                   [&](const bitops::KernelOps &k, uint64_t *dst) {
                       k.andShiftAnd(dst, src.data(), nwords);
-                  });
-            check("fillOnes",
-                  [&](const bitops::KernelOps &k, uint64_t *dst) {
-                      k.fillOnes(dst, nwords);
                   });
         }
     }
@@ -160,9 +148,10 @@ TEST(SimdKernels, FusedCellMatchesScalarOnAllWidths)
 
 TEST(SimdKernels, FusedOpsMatchComposedDefinitions)
 {
-    // The fused ops are defined in terms of the simple primitives;
-    // verify the definitions hold (on the scalar table — the previous
-    // tests extend the property to every backend transitively).
+    // The fused ops are defined in terms of the plain primitives (the
+    // scalar free functions of bitvector.h); verify the definitions
+    // hold on the scalar table — the previous tests extend the
+    // property to every backend transitively.
     Rng rng(0xf05ed);
     const auto &k = bitops::scalarKernels();
     for (const int width : kEdgeWidths) {
@@ -172,11 +161,20 @@ TEST(SimdKernels, FusedOpsMatchComposedDefinitions)
         const auto init = randomWords(rng, nwords);
         std::vector<uint64_t> tmp(static_cast<size_t>(nwords));
 
+        // shiftLeftOneOr == shift, then OR the mask.
+        std::vector<uint64_t> composed(static_cast<size_t>(nwords));
+        bitops::shiftLeftOne(composed.data(), src.data(), nwords);
+        bitops::orInPlace(composed.data(), mask.data(), nwords);
+        std::vector<uint64_t> fused(static_cast<size_t>(nwords));
+        k.shiftLeftOneOr(fused.data(), src.data(), mask.data(), nwords);
+        EXPECT_EQ(composed, fused) << "shiftLeftOneOr, width " << width;
+
         // shiftLeftOneOrAnd == shiftLeftOneOr into tmp, then AND.
-        std::vector<uint64_t> composed = init;
-        k.shiftLeftOneOr(tmp.data(), src.data(), mask.data(), nwords);
-        k.andInPlace(composed.data(), tmp.data(), nwords);
-        std::vector<uint64_t> fused = init;
+        composed = init;
+        bitops::shiftLeftOneOr(tmp.data(), src.data(), mask.data(),
+                               nwords);
+        bitops::andInPlace(composed.data(), tmp.data(), nwords);
+        fused = init;
         k.shiftLeftOneOrAnd(fused.data(), src.data(), mask.data(),
                             nwords);
         EXPECT_EQ(composed, fused) << "shiftLeftOneOrAnd, width "
@@ -184,77 +182,27 @@ TEST(SimdKernels, FusedOpsMatchComposedDefinitions)
 
         // andShiftAnd == AND src, then AND (src << 1).
         composed = init;
-        k.andInPlace(composed.data(), src.data(), nwords);
-        k.shiftLeftOne(tmp.data(), src.data(), nwords);
-        k.andInPlace(composed.data(), tmp.data(), nwords);
+        bitops::andInPlace(composed.data(), src.data(), nwords);
+        bitops::shiftLeftOne(tmp.data(), src.data(), nwords);
+        bitops::andInPlace(composed.data(), tmp.data(), nwords);
         fused = init;
         k.andShiftAnd(fused.data(), src.data(), nwords);
         EXPECT_EQ(composed, fused) << "andShiftAnd, width " << width;
 
-        // fusedCell == I & D & S & M built from the simple ops.
+        // fusedCell == I & D & S & M built from the plain primitives.
         const auto ds = randomWords(rng, nwords);
         const auto match = randomWords(rng, nwords);
-        k.shiftLeftOne(composed.data(), init.data(), nwords); // I
-        k.andInPlace(composed.data(), ds.data(), nwords);     // & D
-        k.andShiftAnd(composed.data(), ds.data(), nwords);    // & S (&D)
-        k.shiftLeftOneOrAnd(composed.data(), match.data(), mask.data(),
-                            nwords);                          // & M
-        fused.resize(static_cast<size_t>(nwords));
+        bitops::shiftLeftOne(composed.data(), init.data(), nwords); // I
+        bitops::andInPlace(composed.data(), ds.data(), nwords);     // D
+        bitops::shiftLeftOne(tmp.data(), ds.data(), nwords);
+        bitops::andInPlace(composed.data(), tmp.data(), nwords);    // S
+        bitops::shiftLeftOneOr(tmp.data(), match.data(), mask.data(),
+                               nwords);
+        bitops::andInPlace(composed.data(), tmp.data(), nwords);    // M
         k.fusedCell(fused.data(), init.data(), ds.data(), match.data(),
                     mask.data(), nwords);
         EXPECT_EQ(composed, fused) << "fusedCell, width " << width;
     }
-}
-
-TEST(SimdKernels, FixedWidthTemplatesMatchDispatchedTable)
-{
-    Rng rng(0xf1f1);
-    const auto &k = bitops::scalarKernels();
-    const auto run = [&](auto nwords_tag) {
-        constexpr int NW = decltype(nwords_tag)::value;
-        const auto src = randomWords(rng, NW);
-        const auto mask = randomWords(rng, NW);
-        const auto ds = randomWords(rng, NW);
-        const auto match = randomWords(rng, NW);
-        const auto init = randomWords(rng, NW);
-
-        std::vector<uint64_t> want = init;
-        std::vector<uint64_t> got = init;
-        k.shiftLeftOne(want.data(), src.data(), NW);
-        bitops::fixed::shiftLeftOne<NW>(got.data(), src.data());
-        EXPECT_EQ(want, got) << "fixed::shiftLeftOne<" << NW << ">";
-
-        want = init;
-        got = init;
-        k.shiftLeftOneOr(want.data(), src.data(), mask.data(), NW);
-        bitops::fixed::shiftLeftOneOr<NW>(got.data(), src.data(),
-                                          mask.data());
-        EXPECT_EQ(want, got) << "fixed::shiftLeftOneOr<" << NW << ">";
-
-        want = init;
-        got = init;
-        k.shiftLeftOneOrAnd(want.data(), src.data(), mask.data(), NW);
-        bitops::fixed::shiftLeftOneOrAnd<NW>(got.data(), src.data(),
-                                             mask.data());
-        EXPECT_EQ(want, got) << "fixed::shiftLeftOneOrAnd<" << NW
-                             << ">";
-
-        want = init;
-        got = init;
-        k.andShiftAnd(want.data(), src.data(), NW);
-        bitops::fixed::andShiftAnd<NW>(got.data(), src.data());
-        EXPECT_EQ(want, got) << "fixed::andShiftAnd<" << NW << ">";
-
-        k.fusedCell(want.data(), init.data(), ds.data(), match.data(),
-                    mask.data(), NW);
-        bitops::fixed::fusedCell<NW>(got.data(), init.data(), ds.data(),
-                                     match.data(), mask.data());
-        EXPECT_EQ(want, got) << "fixed::fusedCell<" << NW << ">";
-    };
-    run(std::integral_constant<int, 1>{});
-    run(std::integral_constant<int, 2>{});
-    run(std::integral_constant<int, 3>{});
-    run(std::integral_constant<int, 8>{});
 }
 
 TEST(SimdKernels, ShiftingOpsAllowFullDstSrcAliasing)
@@ -269,18 +217,9 @@ TEST(SimdKernels, ShiftingOpsAllowFullDstSrcAliasing)
             const auto mask = randomWords(rng, nwords);
 
             std::vector<uint64_t> want(static_cast<size_t>(nwords));
-            bitops::scalarKernels().shiftLeftOne(want.data(), src.data(),
-                                                 nwords);
-            std::vector<uint64_t> aliased = src;
-            backend.ops->shiftLeftOne(aliased.data(), aliased.data(),
-                                      nwords);
-            ASSERT_EQ(want, aliased)
-                << "aliased shiftLeftOne, backend " << backend.name
-                << ", width " << width;
-
             bitops::scalarKernels().shiftLeftOneOr(
                 want.data(), src.data(), mask.data(), nwords);
-            aliased = src;
+            std::vector<uint64_t> aliased = src;
             backend.ops->shiftLeftOneOr(aliased.data(), aliased.data(),
                                         mask.data(), nwords);
             ASSERT_EQ(want, aliased)

@@ -609,7 +609,8 @@ cmdMap(const MapOptions &options)
             pct(timings.linearizeSec), timings.alignSec,
             pct(timings.alignSec));
         // Lane-occupancy gauge of the batched alignment path: how full
-        // the SIMD lanes ran, and how much work fell back per-window.
+        // the SIMD lanes ran, and how many windows ran alone (a batch
+        // of one).
         const uint64_t windows =
             stats.batchedWindows + stats.scalarWindows;
         const double occupancy =
@@ -620,7 +621,7 @@ cmdMap(const MapOptions &options)
         std::fprintf(
             stderr,
             "[segram] lane batching: %.2f/%d windows per launch, "
-            "%.1f%% of %llu windows batched (%llu per-window)\n",
+            "%.1f%% of %llu windows batched (%llu alone)\n",
             occupancy, bitops::kBatchLanes,
             windows > 0 ? 100.0 *
                               static_cast<double>(stats.batchedWindows) /
